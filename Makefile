@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt vet lint faults fuzz soak chaos nrt check bench ablate gobench serve-smoke serve-bench
+.PHONY: all build test race fmt vet lint faults stress fuzz soak chaos nrt check bench ablate gobench serve-smoke serve-bench
 
 all: check
 
@@ -42,6 +42,12 @@ lint: vet
 faults:
 	$(GO) test -count=1 -run 'Fault|Crash|Corrupt|Torn|Rot|Fsck|Degraded|Rollback|CloseHygiene|FlipByte' \
 		./internal/vfs/ ./internal/mneme/ ./internal/btree/ ./internal/core/
+
+# Stress tier: the batch driver, admission-gate, and deadline tests
+# repeated across GOMAXPROCS settings, so a test that passes only on
+# lucky scheduling fails here before merge.
+stress:
+	$(GO) test -count=10 -cpu 1,2,4,8 -run 'Batch|Shed|Gate|Deadline' ./internal/core/
 
 # Formatting gate: fails if any file needs gofmt.
 fmt:
@@ -115,7 +121,7 @@ nrt:
 serve-smoke:
 	$(GO) test -count=1 -run 'TestServeSmoke|TestServeSmokeSharded|TestServeSmokeReplicated|TestServeSmokeNRT' ./cmd/inqueryd/
 
-check: fmt lint test faults race fuzz soak chaos nrt serve-smoke
+check: fmt lint test faults stress race fuzz soak chaos nrt serve-smoke
 
 # Query-latency regression gate: runs the standard query mixes over both
 # backends (cmd/repro -bench) and diffs the per-stage p95 quantiles

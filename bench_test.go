@@ -409,7 +409,7 @@ func BenchmarkParallelSearch(b *testing.B) {
 			s := eng.Acquire()
 			for pb.Next() {
 				q := queries[int(cursor.Add(1)-1)%len(queries)]
-				if _, err := s.Search(q, 10); err != nil {
+				if _, err := s.Run(nil, core.Request{Query: q, TopK: 10}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/lexicon"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/textproc"
@@ -110,7 +109,7 @@ func main() {
 		opts = append(opts, core.WithBreaker(*breaker, 0))
 	}
 	if kind == core.BackendMneme && *cache {
-		opts = append(opts, core.WithPlan(planFromDictionary(fs, *name)))
+		opts = append(opts, core.WithPlan(core.PlanFromLexicon(fs, *name)))
 	}
 	eng, err := core.Open(fs, *name, kind, opts...)
 	if err != nil {
@@ -299,27 +298,4 @@ func main() {
 	case c.CorruptRecords > 0 || c.DeadlineHits > 0:
 		os.Exit(exitDegraded)
 	}
-}
-
-// planFromDictionary applies the paper's Table 2 heuristics to the
-// stored dictionary: large = 3x the largest list, medium = 9% of large
-// (at least 3 segments), small = 3 segments.
-func planFromDictionary(fs *vfs.FS, name string) core.BufferPlan {
-	eng, err := core.Open(fs, name, core.BackendMneme)
-	if err != nil {
-		return core.BufferPlan{SmallBytes: 3 * 4096, MediumBytes: 3 * 8192, LargeBytes: 1 << 20}
-	}
-	var max int64
-	eng.Dictionary().Range(func(e *lexicon.Entry) bool {
-		if int64(e.ListBytes) > max {
-			max = int64(e.ListBytes)
-		}
-		return true
-	})
-	eng.Close()
-	medium := 3 * max * 9 / 100
-	if medium < 3*8192 {
-		medium = 3 * 8192
-	}
-	return core.BufferPlan{SmallBytes: 3 * 4096, MediumBytes: medium, LargeBytes: 3 * max}
 }

@@ -56,7 +56,6 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/core"
-	"repro/internal/lexicon"
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/textproc"
@@ -323,31 +322,48 @@ func openImage(path, name, backend string, cache, stem bool, chunk int, shardCfg
 	}
 	opts := append(baseOpts(an), core.WithChunking(chunk))
 	if kind == core.BackendMneme && cache {
-		opts = append(opts, core.WithPlan(planFromDictionary(fs, planName)))
+		opts = append(opts, core.WithPlan(core.PlanFromLexicon(fs, planName)))
 	}
-	if !sharded {
-		if nrtCfg != nil {
-			eng, err := core.OpenNRT(fs, name, kind, *nrtCfg, opts...)
-			return eng, nil, err
-		}
-		eng, err := core.Open(fs, name, kind, opts...)
+	return openTopology([][]*vfs.FS{{fs}}, name, nShards, nReplicas, kind, shardCfg, nrtCfg, opts)
+}
+
+// openTopology opens a built collection in its serving topology: a
+// plain engine, an NRT engine (non-nil nrtCfg), a scatter-gather
+// coordinator over nShards engines (nShards > 0), or the replicated
+// failover router (nReplicas > 1). fss[s][r] is the store of shard s,
+// replica r; a single store ({{fs}}) may carry every shard and replica.
+// The returned engine slice holds the shard engines the caller closes.
+func openTopology(fss [][]*vfs.FS, name string, nShards, nReplicas int, kind core.BackendKind,
+	shardCfg shard.Config, nrtCfg *core.NRTConfig, opts []core.Option) (serve.Index, []*core.Engine, error) {
+	switch {
+	case nShards == 0 && nrtCfg != nil:
+		eng, err := core.OpenNRT(fss[0][0], name, kind, *nrtCfg, opts...)
 		return eng, nil, err
-	}
-	if nrtCfg != nil {
+	case nShards == 0:
+		eng, err := core.Open(fss[0][0], name, kind, opts...)
+		return eng, nil, err
+	case nrtCfg != nil:
 		return nil, nil, fmt.Errorf("image is sharded (%d shards); -nrt serves single-store indexes", nShards)
-	}
-	if nReplicas > 1 {
-		// Replicated image: manifest-verified open with failover
-		// routing; the returned index owns (and closes) its engines.
-		ix, err := shard.OpenReplicated([][]*vfs.FS{{fs}}, name, nShards, nReplicas, kind, shardCfg, opts...)
+	case nReplicas > 1:
+		// The returned index owns (and closes) its engines.
+		ix, err := shard.OpenReplicated(fss, name, nShards, nReplicas, kind, shardCfg, opts...)
 		return ix, nil, err
 	}
-	engines, err := shard.OpenEngines([]*vfs.FS{fs}, name, nShards, kind, opts...)
+	engines, err := shard.OpenEngines(replicaStores(fss, 0), name, nShards, kind, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
 	ix, err := shard.NewIndex(name, engines, shardCfg)
 	return ix, engines, err
+}
+
+// replicaStores lists replica r's store of every shard.
+func replicaStores(fss [][]*vfs.FS, r int) []*vfs.FS {
+	out := make([]*vfs.FS, len(fss))
+	for i := range fss {
+		out[i] = fss[i][r]
+	}
+	return out
 }
 
 // buildSynthetic generates the named paper collection at the given
@@ -371,84 +387,35 @@ func buildSynthetic(name string, scale float64, nShards, nReplicas int, shardCfg
 		if _, err := core.Build(fs, col.Name, col.Stream(), core.BuildOptions{Analyzer: an}); err != nil {
 			return nil, nil, nil, err
 		}
-		opts := append(baseOpts(an), core.WithPlan(planFromDictionary(fs, col.Name)))
-		if nrtCfg != nil {
-			eng, err := core.OpenNRT(fs, col.Name, core.BackendMneme, *nrtCfg, opts...)
-			return eng, nil, nil, err
-		}
-		eng, err := core.Open(fs, col.Name, core.BackendMneme, opts...)
-		return eng, nil, nil, err
+		opts := append(baseOpts(an), core.WithPlan(core.PlanFromLexicon(fs, col.Name)))
+		ix, engines, err := openTopology([][]*vfs.FS{{fs}}, col.Name, 0, 1, core.BackendMneme, shardCfg, nrtCfg, opts)
+		return ix, engines, nil, err
 	}
-	if nShards < 1 {
-		nShards = 1
-	}
-	if nReplicas > 1 {
-		// Per-replica file systems: every replica of every shard is its
-		// own blast radius, so a fault plan (or the chaos drill) takes
-		// out exactly one copy of one shard.
-		fss := make([][]*vfs.FS, nShards)
-		for i := range fss {
-			fss[i] = make([]*vfs.FS, nReplicas)
-			for r := range fss[i] {
-				fss[i][r] = vfs.New(vfs.Options{OSCacheBytes: 8 << 20})
-			}
-		}
-		if _, err := shard.BuildReplicated(fss, col.Name, nShards, nReplicas, col.Stream(), core.BuildOptions{Analyzer: an}); err != nil {
-			return nil, nil, nil, err
-		}
-		opts := append(baseOpts(an),
-			core.WithPlan(planFromDictionary(fss[0][0], shard.ShardName(col.Name, 0))))
-		ix, err := shard.OpenReplicated(fss, col.Name, nShards, nReplicas, core.BackendMneme, shardCfg, opts...)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		targets := make([]*vfs.FS, nShards)
-		for i := range targets {
-			targets[i] = fss[i][1]
-		}
-		return ix, nil, targets, nil
-	}
-	// Per-shard file systems: each shard is its own blast radius.
-	fss := make([]*vfs.FS, nShards)
+	nShards, nReplicas = max(nShards, 1), max(nReplicas, 1)
+	// Per-shard, per-replica file systems: every replica of every shard
+	// is its own blast radius, so a fault plan (or the chaos drill)
+	// takes out exactly one copy of one shard.
+	fss := make([][]*vfs.FS, nShards)
 	for i := range fss {
-		fss[i] = vfs.New(vfs.Options{OSCacheBytes: 8 << 20})
+		fss[i] = make([]*vfs.FS, nReplicas)
+		for r := range fss[i] {
+			fss[i][r] = vfs.New(vfs.Options{OSCacheBytes: 8 << 20})
+		}
 	}
-	if _, err := shard.Build(fss, col.Name, nShards, col.Stream(), core.BuildOptions{Analyzer: an}); err != nil {
+	var err error
+	if nReplicas > 1 {
+		_, err = shard.BuildReplicated(fss, col.Name, nShards, nReplicas, col.Stream(), core.BuildOptions{Analyzer: an})
+	} else {
+		_, err = shard.Build(replicaStores(fss, 0), col.Name, nShards, col.Stream(), core.BuildOptions{Analyzer: an})
+	}
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	opts := append(baseOpts(an),
-		core.WithPlan(planFromDictionary(fss[0], shard.ShardName(col.Name, 0))))
-	engines, err := shard.OpenEngines(fss, col.Name, nShards, core.BackendMneme, opts...)
-	if err != nil {
-		return nil, nil, nil, err
+		core.WithPlan(core.PlanFromLexicon(fss[0][0], shard.ShardName(col.Name, 0))))
+	ix, engines, err := openTopology(fss, col.Name, nShards, nReplicas, core.BackendMneme, shardCfg, nrtCfg, opts)
+	if err != nil || nReplicas == 1 {
+		return ix, engines, nil, err
 	}
-	ix, err := shard.NewIndex(col.Name, engines, shardCfg)
-	return ix, engines, nil, err
-}
-
-// planFromDictionary applies the paper's Table 2 heuristics to the
-// stored dictionary: large = 3x the largest list, medium = 9% of large
-// (at least 3 segments), small = 3 segments.
-func planFromDictionary(fs *vfs.FS, name string) core.BufferPlan {
-	// Probe a clone: closing the probe engine appends a checkpoint to
-	// the store, which would invalidate a replica's checksum manifest
-	// before the real open verifies it.
-	fs = fs.Clone(vfs.Options{})
-	eng, err := core.Open(fs, name, core.BackendMneme)
-	if err != nil {
-		return core.BufferPlan{SmallBytes: 3 * 4096, MediumBytes: 3 * 8192, LargeBytes: 1 << 20}
-	}
-	var max int64
-	eng.Dictionary().Range(func(e *lexicon.Entry) bool {
-		if int64(e.ListBytes) > max {
-			max = int64(e.ListBytes)
-		}
-		return true
-	})
-	eng.Close()
-	medium := 3 * max * 9 / 100
-	if medium < 3*8192 {
-		medium = 3 * 8192
-	}
-	return core.BufferPlan{SmallBytes: 3 * 4096, MediumBytes: medium, LargeBytes: 3 * max}
+	return ix, engines, replicaStores(fss, 1), nil
 }

@@ -36,6 +36,9 @@ func openPair(t *testing.T, built *experiments.Built, extra ...core.Option) (bt,
 	return bt, mn
 }
 
+// resultsOf projects a Run response onto its ranking.
+func resultsOf(resp core.Response, err error) ([]core.Result, error) { return resp.Results, err }
+
 // assertSameResults requires identical rankings and doc counts, with
 // scores equal to within 1e-9 (belief arithmetic is the same float64
 // sequence on both backends; the tolerance only absorbs printing-level
@@ -75,11 +78,11 @@ func TestDifferentialBackends(t *testing.T) {
 			defer bt.Close()
 			defer mn.Close()
 			for _, q := range built.Col.GenQueries(qs) {
-				r1, err := bt.Search(q.Text, 0)
+				r1, err := resultsOf(bt.Run(nil, core.Request{Query: q.Text}))
 				if err != nil {
 					t.Fatalf("btree %s: %v", q.ID, err)
 				}
-				r2, err := mn.Search(q.Text, 0)
+				r2, err := resultsOf(mn.Run(nil, core.Request{Query: q.Text}))
 				if err != nil {
 					t.Fatalf("mneme %s: %v", q.ID, err)
 				}
@@ -106,11 +109,11 @@ func TestDifferentialBackendsDegraded(t *testing.T) {
 			defer bt.Close()
 			defer mn.Close()
 			for _, q := range built.Col.GenQueries(qs) {
-				r1, err := bt.Search(q.Text, 0)
+				r1, err := resultsOf(bt.Run(nil, core.Request{Query: q.Text}))
 				if err != nil {
 					t.Fatalf("btree %s: %v", q.ID, err)
 				}
-				r2, err := mn.Search(q.Text, 0)
+				r2, err := resultsOf(mn.Run(nil, core.Request{Query: q.Text}))
 				if err != nil {
 					t.Fatalf("mneme %s: %v", q.ID, err)
 				}
@@ -154,12 +157,12 @@ func TestDifferentialMaxScore(t *testing.T) {
 			defer btP.Close()
 			defer mnP.Close()
 			for _, q := range built.Col.GenQueries(qs) {
-				exact, err := bt.SearchDAAT(q.Text, diffTopK)
+				exact, err := resultsOf(bt.Run(nil, core.Request{Query: q.Text, TopK: diffTopK, Mode: core.ModeDAAT}))
 				if err != nil {
 					t.Fatalf("btree daat %s: %v", q.ID, err)
 				}
 				for label, eng := range map[string]*core.Engine{"btree": btP, "mneme": mnP} {
-					pruned, err := eng.SearchDAAT(q.Text, diffTopK)
+					pruned, err := resultsOf(eng.Run(nil, core.Request{Query: q.Text, TopK: diffTopK, Mode: core.ModeDAAT}))
 					if err != nil {
 						t.Fatalf("%s pruned %s: %v", label, q.ID, err)
 					}
@@ -172,7 +175,7 @@ func TestDifferentialMaxScore(t *testing.T) {
 				// without #phrase/#odN/#uwN.
 				if !strings.Contains(q.Text, "#phrase") &&
 					!strings.Contains(q.Text, "#od") && !strings.Contains(q.Text, "#uw") {
-					taat, err := mn.Search(q.Text, diffTopK)
+					taat, err := resultsOf(mn.Run(nil, core.Request{Query: q.Text, TopK: diffTopK}))
 					if err != nil {
 						t.Fatalf("mneme taat %s: %v", q.ID, err)
 					}
@@ -202,12 +205,12 @@ func TestDifferentialMaxScoreDegraded(t *testing.T) {
 			defer btP.Close()
 			defer mnP.Close()
 			for _, q := range built.Col.GenQueries(qs) {
-				exact, err := mn.SearchDAAT(q.Text, diffTopK)
+				exact, err := resultsOf(mn.Run(nil, core.Request{Query: q.Text, TopK: diffTopK, Mode: core.ModeDAAT}))
 				if err != nil {
 					t.Fatalf("mneme daat %s: %v", q.ID, err)
 				}
 				for label, eng := range map[string]*core.Engine{"btree": btP, "mneme": mnP} {
-					pruned, err := eng.SearchDAAT(q.Text, diffTopK)
+					pruned, err := resultsOf(eng.Run(nil, core.Request{Query: q.Text, TopK: diffTopK, Mode: core.ModeDAAT}))
 					if err != nil {
 						t.Fatalf("%s pruned %s: %v", label, q.ID, err)
 					}

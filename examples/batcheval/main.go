@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -104,12 +105,12 @@ func main() {
 		var metrics []eval.Metrics
 		for _, t := range topics {
 			query := strings.Join(t.terms, " ")
-			res, err := eng.Search(query, 100)
+			resp, err := eng.Run(context.Background(), core.Request{Query: query, TopK: 100})
 			if err != nil {
 				log.Fatal(err)
 			}
-			ranked := make([]uint32, len(res))
-			for i, r := range res {
+			ranked := make([]uint32, len(resp.Results))
+			for i, r := range resp.Results {
 				ranked[i] = r.Doc
 			}
 			metrics = append(metrics, eval.Evaluate(ranked, t.relevant))

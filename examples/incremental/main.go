@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -53,17 +54,17 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("Mneme backend: added document %d without re-indexing\n", id)
-	res, _ := mn.Search("inverted", 10)
-	fmt.Printf("  'inverted' now matches %d documents:", len(res))
-	for _, r := range res {
+	resp, _ := mn.Run(context.Background(), core.Request{Query: "inverted", TopK: 10})
+	fmt.Printf("  'inverted' now matches %d documents:", len(resp.Results))
+	for _, r := range resp.Results {
 		fmt.Printf(" %d", r.Doc)
 	}
 	fmt.Println()
 	if err := mn.DeleteDocument(0, docs[0].Text); err != nil {
 		log.Fatal(err)
 	}
-	res, _ = mn.Search("inverted", 10)
-	fmt.Printf("  after deleting document 0, %d matches remain\n", len(res))
+	resp, _ = mn.Run(context.Background(), core.Request{Query: "inverted", TopK: 10})
+	fmt.Printf("  after deleting document 0, %d matches remain\n", len(resp.Results))
 	if err := mn.SaveMeta(); err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -76,12 +77,12 @@ func main() {
 		"#and(t27 #or(t31 t55) #not(t144))",
 	}
 	for i, q := range session {
-		res, err := eng.Search(q, 5)
+		resp, err := eng.Run(context.Background(), core.Request{Query: q, TopK: 5})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("refinement %d: %s\n", i+1, q)
-		for j, r := range res {
+		for j, r := range resp.Results {
 			fmt.Printf("   %d. case %-6d belief %.4f\n", j+1, r.Doc, r.Score)
 		}
 		for _, pool := range []string{"small", "medium", "large"} {

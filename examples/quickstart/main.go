@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,12 +52,12 @@ func main() {
 		"#wsum(3 retrieval 1 performance)",
 	}
 	for _, q := range queries {
-		res, err := eng.Search(q, 3)
+		resp, err := eng.Run(context.Background(), core.Request{Query: q, TopK: 3})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("query %q\n", q)
-		for i, r := range res {
+		for i, r := range resp.Results {
 			fmt.Printf("  %d. doc %d  belief %.4f  %.60s...\n", i+1, r.Doc, r.Score, docs[r.Doc].Text)
 		}
 		fmt.Println()

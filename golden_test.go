@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -57,10 +58,10 @@ func TestGoldenSnapshot(t *testing.T) {
 	defer mn.Close()
 	qs := built.Col.QuerySets[0]
 	for _, q := range built.Col.GenQueries(qs) {
-		if _, err := bt.Search(q.Text, 0); err != nil {
+		if _, err := bt.Run(nil, core.Request{Query: q.Text}); err != nil {
 			t.Fatalf("btree %s: %v", q.ID, err)
 		}
-		if _, err := mn.Search(q.Text, 0); err != nil {
+		if _, err := mn.Run(nil, core.Request{Query: q.Text}); err != nil {
 			t.Fatalf("mneme %s: %v", q.ID, err)
 		}
 	}

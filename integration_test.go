@@ -66,11 +66,11 @@ func TestEndToEndPipeline(t *testing.T) {
 		Style: collection.StyleBoolean, Repeat: 0.4, Seed: 9,
 	})
 	for _, q := range queries {
-		r1, err := bt.Search(q.Text, 10)
+		r1, err := resultsOf(bt.Run(nil, core.Request{Query: q.Text, TopK: 10}))
 		if err != nil {
 			t.Fatalf("btree %s: %v", q.ID, err)
 		}
-		r2, err := mn.Search(q.Text, 10)
+		r2, err := resultsOf(mn.Run(nil, core.Request{Query: q.Text, TopK: 10}))
 		if err != nil {
 			t.Fatalf("mneme %s: %v", q.ID, err)
 		}
@@ -90,7 +90,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// --- Explain agrees with the ranked score on the top document. ---
-	if r, _ := mn.Search(queries[0].Text, 1); len(r) > 0 {
+	if r, _ := resultsOf(mn.Run(nil, core.Request{Query: queries[0].Text, TopK: 1})); len(r) > 0 {
 		ex, err := mn.Explain(queries[0].Text, r[0].Doc)
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +101,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// --- Recall/precision machinery on a fabricated judgment. ---
-	res, _ := mn.Search(queries[0].Text, 20)
+	res, _ := resultsOf(mn.Run(nil, core.Request{Query: queries[0].Text, TopK: 20}))
 	if len(res) > 2 {
 		rel := map[uint32]bool{res[0].Doc: true, res[2].Doc: true}
 		ranked := make([]uint32, len(res))
@@ -120,7 +120,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mn.Search("freshterm", 0)
+	got, err := resultsOf(mn.Run(nil, core.Request{Query: "freshterm"}))
 	if err != nil || len(got) != 1 || got[0].Doc != id {
 		t.Fatalf("new doc not searchable: %v %v", got, err)
 	}
@@ -184,11 +184,11 @@ func TestEndToEndChunkedPipeline(t *testing.T) {
 		Style: collection.StyleWords, Repeat: 0.3, Seed: 2,
 	})
 	for _, q := range queries {
-		taat, err := e.Search(q.Text, 10)
+		taat, err := resultsOf(e.Run(nil, core.Request{Query: q.Text, TopK: 10}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		daat, err := e.SearchDAAT(q.Text, 10)
+		daat, err := resultsOf(e.Run(nil, core.Request{Query: q.Text, TopK: 10, Mode: core.ModeDAAT}))
 		if err != nil {
 			t.Fatal(err)
 		}

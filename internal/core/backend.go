@@ -12,6 +12,7 @@ import (
 	"io"
 
 	"repro/internal/btree"
+	"repro/internal/lexicon"
 	"repro/internal/mneme"
 	"repro/internal/obs"
 	"repro/internal/vfs"
@@ -126,6 +127,36 @@ type BufferPlan struct {
 
 // NoCache is the all-zero buffer plan.
 var NoCache = BufferPlan{}
+
+// PlanForMaxList is the paper's Table 2 buffer-plan rule as a function
+// of the collection's largest inverted-list record: large = 3x it,
+// medium = 9% of large but at least 3 medium segments (the CACM rule),
+// small = 3 small segments.
+func PlanForMaxList(maxList int64) BufferPlan {
+	large := 3 * maxList
+	return BufferPlan{
+		SmallBytes:  3 * 4096,
+		MediumBytes: max(large*9/100, 3*8192),
+		LargeBytes:  large,
+	}
+}
+
+// PlanFromLexicon applies PlanForMaxList to a built collection's stored
+// lexicon. It reads only the lexicon file and opens no engine, so the
+// store is never written. A collection without a readable lexicon gets
+// a fixed 1 MB large-pool plan.
+func PlanFromLexicon(fs *vfs.FS, name string) BufferPlan {
+	dict, err := loadLexicon(fs, name)
+	if err != nil {
+		return BufferPlan{SmallBytes: 3 * 4096, MediumBytes: 3 * 8192, LargeBytes: 1 << 20}
+	}
+	var maxList int64
+	dict.Range(func(e *lexicon.Entry) bool {
+		maxList = max(maxList, int64(e.ListBytes))
+		return true
+	})
+	return PlanForMaxList(maxList)
+}
 
 // ErrNoUpdate is returned by backends that do not support incremental
 // modification. The paper: "addition or deletion of a single document to

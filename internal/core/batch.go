@@ -44,12 +44,6 @@ func QueryTimeout(d time.Duration) BatchOption {
 	return func(c *batchConfig) { c.timeout = d }
 }
 
-// searchOne evaluates one batch query under the per-query timeout.
-func searchOne(ctx context.Context, s *Searcher, query string, cfg *batchConfig) ([]Result, error) {
-	resp, err := s.Run(ctx, Request{Query: query, TopK: cfg.topK, Deadline: cfg.timeout})
-	return resp.Results, err
-}
-
 // resilienceOutcome reports whether an error is a typed per-query
 // resilience condition — shed by admission control or cut short by a
 // deadline — rather than a hard failure. Typed conditions are expected
@@ -59,68 +53,23 @@ func resilienceOutcome(err error) bool {
 }
 
 // SearchBatch evaluates queries over the engine and returns per-query
-// rankings in query order. With Parallelism(n), n workers pull queries
-// from a shared feed, each on its own Searcher; rankings and aggregate
-// counters are identical to a serial run. The first hard query error
-// stops the feed and is returned alongside the results completed so
-// far. Typed resilience outcomes (shed, deadline — possible only under
-// WithMaxInFlight or QueryTimeout) are not hard errors: the query's
-// partial results are kept, the condition is counted in the engine
-// counters, and the batch continues. Use SearchBatchCtx to see those
-// conditions per query.
+// rankings in query order: SearchBatchCtx's outcomes with the errors
+// folded away. Typed resilience outcomes (shed, deadline — possible
+// only under WithMaxInFlight or QueryTimeout) are not hard errors: the
+// query keeps its partial (or, if shed, nil) ranking and the condition
+// is counted in the engine counters. Every query is evaluated; the
+// first hard error in query order is returned alongside all rankings.
+// Use SearchBatchCtx to see the conditions per query.
 func (e *Engine) SearchBatch(queries []string, opts ...BatchOption) ([][]Result, error) {
-	cfg := batchConfig{parallelism: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	results := make([][]Result, len(queries))
-	if len(queries) == 0 {
-		return results, nil
-	}
-	workers := cfg.parallelism
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers == 1 {
-		s := e.Acquire()
-		for i, q := range queries {
-			r, err := searchOne(nil, s, q, &cfg)
-			if err != nil && !resilienceOutcome(err) {
-				return results, err
-			}
-			results[i] = r
+	out, _ := e.SearchBatchCtx(nil, queries, opts...) // a nil batch context never ends the run early
+	results := make([][]Result, len(out))
+	var firstErr error
+	for i, o := range out {
+		results[i] = o.Results
+		if firstErr == nil && o.Err != nil && !resilienceOutcome(o.Err) {
+			firstErr = o.Err
 		}
-		return results, nil
 	}
-
-	var (
-		next     atomic.Int64 // shared feed cursor
-		failed   atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := e.Acquire()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				r, err := searchOne(nil, s, queries[i], &cfg)
-				if err != nil && !resilienceOutcome(err) {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
-				}
-				results[i] = r
-			}
-		}()
-	}
-	wg.Wait()
 	return results, firstErr
 }
 
@@ -134,41 +83,30 @@ type BatchOutcome struct {
 	Err     error
 }
 
-// SearchBatchCtx evaluates queries like SearchBatch but reports every
-// query's individual outcome instead of collapsing to first-error: no
-// query error — typed or hard — stops the feed. Only the batch context
-// itself ends the run early, in which case the outcomes completed so
-// far are returned together with ctx.Err(); unreached queries have nil
-// Results and nil Err. The per-query context passed to each evaluation
-// derives from ctx, bounded by QueryTimeout when set.
+// SearchBatchCtx is the batch driver: workers pull queries from a
+// shared feed, each on its own Searcher, and every query's individual
+// outcome is reported in query order; rankings and aggregate counters
+// are identical to a serial run. No query error — typed or hard — stops
+// the feed. The pool runs min(Parallelism, len(queries), gate capacity)
+// workers, so under WithMaxInFlight a batch never competes with itself
+// for admission slots: only outside load can shed its queries. Only the
+// batch context itself ends the run early, in which case the outcomes
+// completed so far are returned together with ctx.Err(); unreached
+// queries have nil Results and nil Err. The per-query context passed
+// to each evaluation derives from ctx, bounded by QueryTimeout when set.
 func (e *Engine) SearchBatchCtx(ctx context.Context, queries []string, opts ...BatchOption) ([]BatchOutcome, error) {
 	cfg := batchConfig{parallelism: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	out := make([]BatchOutcome, len(queries))
-	if len(queries) == 0 {
-		return out, nil
+	workers := min(cfg.parallelism, len(queries))
+	if e.gate != nil {
+		workers = min(workers, e.gate.Max())
 	}
 	batchDone := func() bool { return ctx != nil && ctx.Err() != nil }
-	workers := cfg.parallelism
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers == 1 {
-		s := e.Acquire()
-		for i, q := range queries {
-			if batchDone() {
-				return out, ctx.Err()
-			}
-			r, err := searchOne(ctx, s, q, &cfg)
-			out[i] = BatchOutcome{Results: r, Err: err}
-		}
-		return out, nil
-	}
-
+	out := make([]BatchOutcome, len(queries))
 	var (
-		next atomic.Int64
+		next atomic.Int64 // shared feed cursor
 		wg   sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
@@ -181,8 +119,8 @@ func (e *Engine) SearchBatchCtx(ctx context.Context, queries []string, opts ...B
 				if i >= len(queries) {
 					return
 				}
-				r, err := searchOne(ctx, s, queries[i], &cfg)
-				out[i] = BatchOutcome{Results: r, Err: err}
+				resp, err := s.Run(ctx, Request{Query: queries[i], TopK: cfg.topK, Deadline: cfg.timeout})
+				out[i] = BatchOutcome{Results: resp.Results, Err: err}
 			}
 		}()
 	}

@@ -84,11 +84,11 @@ func TestChunkedSearchParity(t *testing.T) {
 	defer chunked.Close()
 
 	for _, q := range []string{"heavy", "#and(heavy mid)", "heavy unique42", "#phrase(heavy mid)"} {
-		rp, err := plain.Search(q, 20)
+		rp, err := resultsOf(plain.Run(nil, Request{Query: q, TopK: 20}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := chunked.Search(q, 20)
+		rc, err := resultsOf(chunked.Run(nil, Request{Query: q, TopK: 20}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +110,11 @@ func TestChunkedDAATStreams(t *testing.T) {
 	chunked := openChunked(t, cfs, 1024)
 	defer chunked.Close()
 
-	rp, err := plain.SearchDAAT("heavy mid", 15)
+	rp, err := resultsOf(plain.Run(nil, Request{Query: "heavy mid", TopK: 15, Mode: ModeDAAT}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := chunked.SearchDAAT("heavy mid", 15)
+	rc, err := resultsOf(chunked.Run(nil, Request{Query: "heavy mid", TopK: 15, Mode: ModeDAAT}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +137,12 @@ func TestChunkedIncrementalUpdate(t *testing.T) {
 	e := openChunked(t, cfs, 1024)
 	defer e.Close()
 
-	before, _ := e.Search("heavy", 0)
+	before, _ := resultsOf(e.Run(nil, Request{Query: "heavy"}))
 	id, err := e.AddDocument("heavy heavy heavy addition")
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, _ := e.Search("heavy", 0)
+	after, _ := resultsOf(e.Run(nil, Request{Query: "heavy"}))
 	if len(after) != len(before)+1 {
 		t.Fatalf("heavy matches %d -> %d", len(before), len(after))
 	}
@@ -164,7 +164,7 @@ func TestChunkedIncrementalUpdate(t *testing.T) {
 	if err := e.DeleteDocument(id, "heavy heavy heavy addition"); err != nil {
 		t.Fatal(err)
 	}
-	final, _ := e.Search("heavy", 0)
+	final, _ := resultsOf(e.Run(nil, Request{Query: "heavy"}))
 	if len(final) != len(before) {
 		t.Fatalf("after delete: %d matches, want %d", len(final), len(before))
 	}
@@ -175,7 +175,7 @@ func TestChunkedIncrementalUpdate(t *testing.T) {
 	e.Close()
 	e2 := openChunked(t, cfs, 1024)
 	defer e2.Close()
-	res, err := e2.Search("heavy", 0)
+	res, err := resultsOf(e2.Run(nil, Request{Query: "heavy"}))
 	if err != nil || len(res) != len(before) {
 		t.Fatalf("after reopen: %d matches, %v", len(res), err)
 	}

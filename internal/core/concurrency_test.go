@@ -62,6 +62,9 @@ func concurrencyConfigs() []struct {
 	}
 }
 
+// resultsOf projects a Run response onto its ranking.
+func resultsOf(resp Response, err error) ([]Result, error) { return resp.Results, err }
+
 func sameResults(t *testing.T, label string, got, want []Result) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -94,7 +97,7 @@ func TestConcurrentSearchMatchesSerial(t *testing.T) {
 			}
 			want := make([][]Result, len(queries))
 			for i, q := range queries {
-				if want[i], err = ser.Search(q, 10); err != nil {
+				if want[i], err = resultsOf(ser.Run(nil, Request{Query: q, TopK: 10})); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -117,7 +120,7 @@ func TestConcurrentSearchMatchesSerial(t *testing.T) {
 					defer wg.Done()
 					s := eng.Acquire()
 					for i := g; i < len(queries); i += workers {
-						r, err := s.Search(queries[i], 10)
+						r, err := resultsOf(s.Run(nil, Request{Query: queries[i], TopK: 10}))
 						if err != nil {
 							t.Errorf("query %d: %v", i, err)
 							return
@@ -143,13 +146,40 @@ func TestConcurrentSearchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSearchBatchMatchesSerial drives the batch API at several
-// parallelism levels and checks order, rankings, and aggregates.
+// TestSearchBatchMatchesSerial drives both batch APIs at several
+// parallelism levels and checks order, rankings, and aggregates. The
+// gated configuration (two admission slots, no queue wait, nothing
+// else in flight) proves the pool caps its workers at gate capacity:
+// a batch wider than the gate must not shed its own queries.
 func TestSearchBatchMatchesSerial(t *testing.T) {
 	fs := newFS()
 	queries := concurrencyCorpus(t, fs, "batch")
 
-	for _, cfg := range concurrencyConfigs() {
+	configs := append(concurrencyConfigs(), struct {
+		name string
+		kind BackendKind
+		opts []Option
+	}{"mneme-gated", BackendMneme, []Option{WithMaxInFlight(2, 0)}})
+	drivers := []struct {
+		name string
+		run  func(e *Engine, opts ...BatchOption) ([][]Result, error)
+	}{
+		{"SearchBatch", func(e *Engine, opts ...BatchOption) ([][]Result, error) {
+			return e.SearchBatch(queries, opts...)
+		}},
+		{"SearchBatchCtx", func(e *Engine, opts ...BatchOption) ([][]Result, error) {
+			out, err := e.SearchBatchCtx(nil, queries, opts...)
+			res := make([][]Result, len(out))
+			for i, o := range out {
+				if o.Err != nil {
+					return nil, fmt.Errorf("query %d: %w", i, o.Err)
+				}
+				res[i] = o.Results
+			}
+			return res, err
+		}},
+	}
+	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			ser, err := Open(fs, "batch", cfg.kind, append([]Option{WithAnalyzer(plainAnalyzer())}, cfg.opts...)...)
 			if err != nil {
@@ -162,22 +192,28 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 			wantAgg := ser.Counters()
 			ser.Close()
 
-			for _, par := range []int{1, 4, 16} {
-				eng, err := Open(fs, "batch", cfg.kind, append([]Option{WithAnalyzer(plainAnalyzer())}, cfg.opts...)...)
-				if err != nil {
-					t.Fatal(err)
+			for _, d := range drivers {
+				for _, par := range []int{1, 4, 16} {
+					eng, err := Open(fs, "batch", cfg.kind, append([]Option{WithAnalyzer(plainAnalyzer())}, cfg.opts...)...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := d.run(eng, Parallelism(par), TopK(10))
+					if err != nil {
+						t.Fatalf("%s par %d: %v", d.name, par, err)
+					}
+					for i := range queries {
+						sameResults(t, fmt.Sprintf("%s par %d query %d", d.name, par, i), got[i], want[i])
+					}
+					agg := eng.Counters()
+					if agg.Shed != 0 {
+						t.Fatalf("%s par %d: batch shed %d of its own queries", d.name, par, agg.Shed)
+					}
+					if agg != wantAgg {
+						t.Fatalf("%s par %d: aggregates %+v, want %+v", d.name, par, agg, wantAgg)
+					}
+					eng.Close()
 				}
-				got, err := eng.SearchBatch(queries, Parallelism(par), TopK(10))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range queries {
-					sameResults(t, fmt.Sprintf("par %d query %d", par, i), got[i], want[i])
-				}
-				if agg := eng.Counters(); agg != wantAgg {
-					t.Fatalf("par %d: aggregates %+v, want %+v", par, agg, wantAgg)
-				}
-				eng.Close()
 			}
 		})
 	}
@@ -221,7 +257,7 @@ func TestCommitRollbackDuringSearches(t *testing.T) {
 
 	want := make([][]Result, len(queries))
 	for i, q := range queries {
-		if want[i], err = eng.Search(q, 10); err != nil {
+		if want[i], err = resultsOf(eng.Run(nil, Request{Query: q, TopK: 10})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +304,7 @@ func TestCommitRollbackDuringSearches(t *testing.T) {
 			s := eng.Acquire()
 			for {
 				for i, q := range queries {
-					got, err := s.Search(q, 10)
+					got, err := resultsOf(s.Run(nil, Request{Query: q, TopK: 10}))
 					if err != nil {
 						t.Errorf("reader %d query %d: %v", g, i, err)
 						return
@@ -297,7 +333,7 @@ func TestCommitRollbackDuringSearches(t *testing.T) {
 
 // TestConcurrentMixedReadPaths exercises the remaining read surface
 // (Explain, Snapshot, ListSize, buffer stats) while searches run, to
-// widen -race coverage beyond the Search path.
+// widen -race coverage beyond the Run path.
 func TestConcurrentMixedReadPaths(t *testing.T) {
 	fs := newFS()
 	queries := concurrencyCorpus(t, fs, "mixed")
@@ -317,7 +353,7 @@ func TestConcurrentMixedReadPaths(t *testing.T) {
 			defer wg.Done()
 			s := eng.Acquire()
 			for i := g; i < len(queries); i += 4 {
-				if _, err := s.Search(queries[i], 5); err != nil {
+				if _, err := s.Run(nil, Request{Query: queries[i], TopK: 5}); err != nil {
 					t.Errorf("search: %v", err)
 					return
 				}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/lexicon"
 	"repro/internal/textproc"
 	"repro/internal/vfs"
 )
@@ -66,6 +67,49 @@ func TestBuildProducesBothBackends(t *testing.T) {
 	}
 }
 
+// TestPlanFromLexiconReadOnly: deriving the Table 2 buffer plan reads
+// the stored lexicon without writing to the store, and yields the plan
+// the probe-engine formula produced (3x the largest list; 9% of that
+// for medium with a 3-segment floor; 3 small segments).
+func TestPlanFromLexiconReadOnly(t *testing.T) {
+	fs := newFS()
+	concurrencyCorpus(t, fs, "plan")
+	before := fs.Stats().BytesWritten
+	got := PlanFromLexicon(fs, "plan")
+	if w := fs.Stats().BytesWritten - before; w != 0 {
+		t.Fatalf("deriving the plan wrote %d bytes", w)
+	}
+
+	oldFormula := func(m int64) BufferPlan {
+		medium := 3 * m * 9 / 100
+		if medium < 3*8192 {
+			medium = 3 * 8192
+		}
+		return BufferPlan{SmallBytes: 3 * 4096, MediumBytes: medium, LargeBytes: 3 * m}
+	}
+	eng, err := Open(fs, "plan", BackendMneme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxList int64
+	eng.Dictionary().Range(func(e *lexicon.Entry) bool {
+		maxList = max(maxList, int64(e.ListBytes))
+		return true
+	})
+	eng.Close()
+	if maxList == 0 {
+		t.Fatal("empty dictionary")
+	}
+	if want := oldFormula(maxList); got != want {
+		t.Fatalf("plan = %+v, want %+v", got, want)
+	}
+	for _, m := range []int64{0, 1000, 91022, 91023, 100_000, 5 << 20} {
+		if got, want := PlanForMaxList(m), oldFormula(m); got != want {
+			t.Fatalf("PlanForMaxList(%d) = %+v, want %+v", m, got, want)
+		}
+	}
+}
+
 func TestSearchSameResultsAcrossBackends(t *testing.T) {
 	fs := newFS()
 	buildTiny(t, fs, "tiny")
@@ -82,11 +126,11 @@ func TestSearchSameResultsAcrossBackends(t *testing.T) {
 		"object",
 	}
 	for _, q := range queries {
-		r1, err := bt.Search(q, 0)
+		r1, err := resultsOf(bt.Run(nil, Request{Query: q}))
 		if err != nil {
 			t.Fatalf("btree %q: %v", q, err)
 		}
-		r2, err := mn.Search(q, 0)
+		r2, err := resultsOf(mn.Run(nil, Request{Query: q}))
 		if err != nil {
 			t.Fatalf("mneme %q: %v", q, err)
 		}
@@ -106,7 +150,7 @@ func TestSearchRelevanceSanity(t *testing.T) {
 	buildTiny(t, fs, "tiny")
 	_, mn := openBoth(t, fs, "tiny", BufferPlan{})
 	defer mn.Close()
-	res, err := mn.Search("information retrieval persistent object", 0)
+	res, err := resultsOf(mn.Run(nil, Request{Query: "information retrieval persistent object"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +166,11 @@ func TestSearchTAATvsDAAT(t *testing.T) {
 	_, mn := openBoth(t, fs, "tiny", BufferPlan{MediumBytes: 1 << 16})
 	defer mn.Close()
 	for _, q := range []string{"information retrieval", "#and(object store)", "#or(files btree)"} {
-		taat, err := mn.Search(q, 0)
+		taat, err := resultsOf(mn.Run(nil, Request{Query: q}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		daat, err := mn.SearchDAAT(q, 0)
+		daat, err := resultsOf(mn.Run(nil, Request{Query: q, Mode: ModeDAAT}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +200,7 @@ func TestStopwordsAndStemmingInQueries(t *testing.T) {
 	}
 	defer e.Close()
 	// "cat" matches the indexed stem of "cats"; "the" is stopped.
-	res, err := e.Search("the cat", 0)
+	res, err := resultsOf(e.Run(nil, Request{Query: "the cat"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +208,12 @@ func TestStopwordsAndStemmingInQueries(t *testing.T) {
 		t.Fatalf("results = %v", res)
 	}
 	// A fully stopped query returns no results, no error.
-	res, err = e.Search("the a of", 0)
+	res, err = resultsOf(e.Run(nil, Request{Query: "the a of"}))
 	if err != nil || res != nil {
 		t.Fatalf("stopped query = %v, %v", res, err)
 	}
 	// Parse errors surface.
-	if _, err := e.Search("#bogus(x)", 0); err == nil {
+	if _, err := e.Run(nil, Request{Query: "#bogus(x)"}); err == nil {
 		t.Fatal("bad query accepted")
 	}
 }
@@ -183,7 +227,7 @@ func TestCountersAndAccessLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.Search("information retrieval", 0)
+	e.Run(nil, Request{Query: "information retrieval"})
 	c := e.Counters()
 	if c.Queries != 1 || c.Lookups != 2 || c.Postings == 0 || c.BytesFetched == 0 {
 		t.Fatalf("counters = %+v", c)
@@ -196,7 +240,7 @@ func TestCountersAndAccessLog(t *testing.T) {
 	}
 	// Unknown terms are not lookups.
 	e.ResetCounters()
-	e.Search("zebra", 0)
+	e.Run(nil, Request{Query: "zebra"})
 	if c := e.Counters(); c.Lookups != 0 {
 		t.Fatalf("unknown term counted: %+v", c)
 	}
@@ -288,11 +332,11 @@ func TestAddDocumentIncremental(t *testing.T) {
 		t.Fatalf("new doc id = %d", id)
 	}
 	// The new doc is searchable, via old terms and new ones.
-	res, err := e.Search("novel", 0)
+	res, err := resultsOf(e.Run(nil, Request{Query: "novel"}))
 	if err != nil || len(res) != 1 || res[0].Doc != 5 {
 		t.Fatalf("search new term = %v, %v", res, err)
 	}
-	res, _ = e.Search("retrieval", 0)
+	res, _ = resultsOf(e.Run(nil, Request{Query: "retrieval"}))
 	found := false
 	for _, r := range res {
 		if r.Doc == 5 {
@@ -317,7 +361,7 @@ func TestAddDocumentIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	res, err = e2.Search("novel", 0)
+	res, err = resultsOf(e2.Run(nil, Request{Query: "novel"}))
 	if err != nil || len(res) != 1 || res[0].Doc != 5 {
 		t.Fatalf("after reopen = %v, %v", res, err)
 	}
@@ -356,7 +400,7 @@ func TestAddDocumentCrossesPoolBoundaries(t *testing.T) {
 	if pool1 != PoolNameMedium {
 		t.Fatalf("grown pool = %q (list %d bytes)", pool1, entry.ListBytes)
 	}
-	res, _ := e.Search("pivot", 0)
+	res, _ := resultsOf(e.Run(nil, Request{Query: "pivot"}))
 	if len(res) != 41 {
 		t.Fatalf("pivot matches %d docs, want 41", len(res))
 	}
@@ -373,7 +417,7 @@ func TestDeleteDocument(t *testing.T) {
 	if err := e.DeleteDocument(2, tinyDocs[2].Text); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := e.Search("information", 0)
+	res, _ := resultsOf(e.Run(nil, Request{Query: "information"}))
 	for _, r := range res {
 		if r.Doc == 2 {
 			t.Fatalf("deleted doc still retrieved: %v", res)
@@ -452,11 +496,11 @@ func TestPropertyIncrementalMatchesRebuild(t *testing.T) {
 	defer eb.Close()
 
 	for _, q := range []string{"alpha", "#and(beta gamma)", "delta epsilon", "#or(zeta theta)"} {
-		ra, err := ea.Search(q, 0)
+		ra, err := resultsOf(ea.Run(nil, Request{Query: q}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := eb.Search(q, 0)
+		rb, err := resultsOf(eb.Run(nil, Request{Query: q}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -508,7 +552,7 @@ func TestEngineExplain(t *testing.T) {
 	_, mn := openBoth(t, fs, "tiny", BufferPlan{})
 	defer mn.Close()
 	q := "#and(information retrieval)"
-	res, err := mn.Search(q, 1)
+	res, err := resultsOf(mn.Run(nil, Request{Query: q, TopK: 1}))
 	if err != nil || len(res) == 0 {
 		t.Fatalf("search: %v", err)
 	}
@@ -555,7 +599,7 @@ func BenchmarkEngineSearch(b *testing.B) {
 	queries := []string{"w1 w2 w3", "#and(w10 w20)", "#or(w5 w7 w9)"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Search(queries[i%len(queries)], 10); err != nil {
+		if _, err := e.Run(nil, Request{Query: queries[i%len(queries)], TopK: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,11 +45,11 @@ func TestDegradedSearchSurvivesRottenStore(t *testing.T) {
 	defer deg.Close()
 
 	// Intact store: both engines agree and count no corruption.
-	want, err := strict.Search(queries[0], 10)
+	want, err := resultsOf(strict.Run(nil, Request{Query: queries[0], TopK: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := deg.Search(queries[0], 10)
+	got, err := resultsOf(deg.Run(nil, Request{Query: queries[0], TopK: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestDegradedSearchSurvivesRottenStore(t *testing.T) {
 
 	rotStore(t, fs, "rot"+suffixMneme)
 
-	if _, err := strict.Search("w1 w2 w3", 10); !errors.Is(err, mneme.ErrCorrupt) {
+	if _, err := strict.Run(nil, Request{Query: "w1 w2 w3", TopK: 10}); !errors.Is(err, mneme.ErrCorrupt) {
 		t.Fatalf("strict search on rotted store: want ErrCorrupt, got %v", err)
 	}
 	for i, q := range queries {
-		if _, err := deg.Search(q, 10); err != nil {
+		if _, err := deg.Run(nil, Request{Query: q, TopK: 10}); err != nil {
 			t.Fatalf("degraded query %d %q: %v", i, q, err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestDegradedRanksSurvivingTerms(t *testing.T) {
 	defer eng.Close()
 
 	const query = "#or(w1 w2)"
-	want, err := eng.Search(query, 10)
+	want, err := resultsOf(eng.Run(nil, Request{Query: query, TopK: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestDegradedRanksSurvivingTerms(t *testing.T) {
 
 	// The first disk read after arming the plan is w1's record fetch.
 	fs.SetFaultPlan(vfs.NewFaultPlan(1).FailRead(1))
-	got, err := eng.Search(query, 10)
+	got, err := resultsOf(eng.Run(nil, Request{Query: query, TopK: 10}))
 	fs.SetFaultPlan(nil)
 	if err != nil {
 		t.Fatalf("degraded search with injected fault: %v", err)
@@ -121,7 +121,7 @@ func TestDegradedRanksSurvivingTerms(t *testing.T) {
 	}
 
 	// With the plan cleared nothing is poisoned: the query recovers.
-	again, err := eng.Search(query, 10)
+	again, err := resultsOf(eng.Run(nil, Request{Query: query, TopK: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDegradedAppliesToBTree(t *testing.T) {
 	}
 	defer strict.Close()
 	fs.SetFaultPlan(vfs.NewFaultPlan(1).FailRead(1))
-	_, err = strict.Search("w1", 10)
+	_, err = strict.Run(nil, Request{Query: "w1", TopK: 10})
 	fs.SetFaultPlan(nil)
 	if !errors.Is(err, vfs.ErrInjected) {
 		t.Fatalf("strict btree search under read fault: want ErrInjected, got %v", err)
@@ -152,7 +152,7 @@ func TestDegradedAppliesToBTree(t *testing.T) {
 	}
 	defer deg.Close()
 	fs.SetFaultPlan(vfs.NewFaultPlan(1).FailRead(1))
-	_, err = deg.Search("w1", 10)
+	_, err = deg.Run(nil, Request{Query: "w1", TopK: 10})
 	fs.SetFaultPlan(nil)
 	if err != nil {
 		t.Fatalf("degraded btree search under read fault: %v", err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -261,9 +260,9 @@ func (m *engineMetrics) observeQuery(d Counters) {
 // document metadata, and backend are shared read structures, and all
 // per-query mutable state lives in a Searcher (see Acquire). Engine
 // counters are the atomic aggregate of every searcher's work, so
-// concurrent and serial runs reconcile to the same totals. Search and
-// SearchDAAT acquire an implicit per-call searcher and remain safe to
-// call from many goroutines.
+// concurrent and serial runs reconcile to the same totals. Engine.Run
+// acquires an implicit per-call searcher and is safe to call from many
+// goroutines.
 //
 // Index mutation (AddDocument, DeleteDocument, SaveMeta) is the
 // exception: it must not run concurrently with searches.
@@ -489,39 +488,6 @@ func (e *Engine) reserve(n *inference.Node) Pin {
 // Result re-exports the ranked-document type.
 type Result = inference.Result
 
-// Search evaluates a query with term-at-a-time processing and returns
-// the topK documents (topK <= 0 means all). It is safe for concurrent
-// use; each call runs on an implicit per-call Searcher.
-//
-// Deprecated: use Run.
-func (e *Engine) Search(query string, topK int) ([]Result, error) {
-	return e.Acquire().Search(query, topK)
-}
-
-// SearchDAAT evaluates a query document-at-a-time. It is safe for
-// concurrent use.
-//
-// Deprecated: use Run with Mode: ModeDAAT.
-func (e *Engine) SearchDAAT(query string, topK int) ([]Result, error) {
-	return e.Acquire().SearchDAAT(query, topK)
-}
-
-// SearchCtx is Search under a context: the query respects ctx's
-// deadline/cancellation and the engine's admission gate. See
-// Searcher.Run for the full contract.
-//
-// Deprecated: use Run.
-func (e *Engine) SearchCtx(ctx context.Context, query string, topK int) ([]Result, error) {
-	return e.Acquire().SearchCtx(ctx, query, topK)
-}
-
-// SearchDAATCtx is SearchDAAT under a context.
-//
-// Deprecated: use Run with Mode: ModeDAAT.
-func (e *Engine) SearchDAATCtx(ctx context.Context, query string, topK int) ([]Result, error) {
-	return e.Acquire().SearchDAATCtx(ctx, query, topK)
-}
-
 // NumDocs implements inference.Source. On a shard engine
 // (WithGlobalStats) it reports the whole collection's document count:
 // belief scores depend on n, and a shard using its local count would
@@ -586,35 +552,23 @@ func (e *Engine) SaveMeta() error {
 
 // Explain returns the belief breakdown a query assigns to one document:
 // the inference network's per-node evidence combination, with leaf-level
-// tf/df detail. The root belief equals the document's Search score.
+// tf/df detail. The root belief equals the document's ranked score.
 func (e *Engine) Explain(query string, doc uint32) (*inference.Explanation, error) {
 	return e.Acquire().Explain(query, doc)
 }
 
-// TraceSearch evaluates one query with a trace recorder attached through
-// every layer — searcher (lexicon/fetch spans), inference (score spans),
-// backend (buffer hit/miss, fault-in spans, node reads), and the file
-// system (simulated-disk I/O events) — and returns the results together
-// with the finished trace.
+// TraceRun evaluates one request with a trace recorder attached
+// through every layer — searcher (lexicon/fetch spans), inference
+// (score spans), backend (buffer hit/miss, fault-in spans, node reads),
+// and the file system (simulated-disk I/O events) — and returns the
+// response (results plus the per-request counter delta) together with
+// the finished trace.
 //
 // Tracing is a single-stream diagnostic: the recorder is attached to the
 // shared file system and backend for the duration of the call, so
-// TraceSearch must not run concurrently with other searches on the same
-// engine (or any engine sharing the FS). Ordinary Search/SearchDAAT pay
-// nothing for this facility: their recorder fields stay nil.
-func (e *Engine) TraceSearch(query string, topK int, daat bool) ([]Result, *obs.Trace, error) {
-	mode := ModeTAAT
-	if daat {
-		mode = ModeDAAT
-	}
-	resp, tr, err := e.TraceRun(Request{Query: query, TopK: topK, Mode: mode})
-	return resp.Results, tr, err
-}
-
-// TraceRun is TraceSearch over the unified Request/Response API: the
-// request is evaluated with a recorder attached through every layer,
-// and the response carries the per-request counter delta alongside the
-// finished trace. The same single-stream caveat applies.
+// TraceRun must not run concurrently with other requests on the same
+// engine (or any engine sharing the FS). Ordinary Run calls pay nothing
+// for this facility: their recorder fields stay nil.
 func (e *Engine) TraceRun(req Request) (Response, *obs.Trace, error) {
 	tr := obs.NewTrace(req.Query)
 	e.fs.SetRecorder(tr)

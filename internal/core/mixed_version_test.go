@@ -84,11 +84,11 @@ func TestMixedVersionStore(t *testing.T) {
 	}
 
 	for _, q := range queries {
-		want, err := auto.Search(q, 0)
+		want, err := resultsOf(auto.Run(nil, Request{Query: q}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := v1.Search(q, 0)
+		got, err := resultsOf(v1.Run(nil, Request{Query: q}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,11 +102,11 @@ func TestMixedVersionStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range queries {
-		want, err := auto.SearchDAAT(q, 10)
+		want, err := resultsOf(auto.Run(nil, Request{Query: q, TopK: 10, Mode: ModeDAAT}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := v1P.SearchDAAT(q, 10)
+		got, err := resultsOf(v1P.Run(nil, Request{Query: q, TopK: 10, Mode: ModeDAAT}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +129,11 @@ func TestMixedVersionStore(t *testing.T) {
 		t.Fatal("untouched list changed format")
 	}
 	for _, q := range append(queries, "fresh") {
-		want, err := auto.Search(q, 0)
+		want, err := resultsOf(auto.Run(nil, Request{Query: q}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := v1.Search(q, 0)
+		got, err := resultsOf(v1.Run(nil, Request{Query: q}))
 		if err != nil {
 			t.Fatal(err)
 		}

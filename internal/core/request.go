@@ -206,9 +206,8 @@ func outcomeOf(err error, delta Counters) Outcome {
 	}
 }
 
-// Run evaluates one Request. It is the single query entry point: the
-// Search/SearchDAAT/SearchCtx/SearchDAATCtx names are thin wrappers
-// over it. The contract:
+// Run evaluates one Request. It is the single query entry point; the
+// batch driver and TraceRun reduce to it. The contract:
 //
 //   - If the engine has an admission gate (WithMaxInFlight) and the
 //     request is shed, no evaluation happens: OutcomeShed, an error

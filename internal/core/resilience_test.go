@@ -28,7 +28,7 @@ func TestSearchCtxDeadlineTypedAndCounted(t *testing.T) {
 	}
 	defer eng.Close()
 
-	want, err := eng.Search(queries[0], 10)
+	want, err := resultsOf(eng.Run(nil, Request{Query: queries[0], TopK: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSearchCtxDeadlineTypedAndCounted(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := eng.SearchCtx(ctx, queries[0], 10)
+	got, err := resultsOf(eng.Run(ctx, Request{Query: queries[0], TopK: 10}))
 	if !errors.Is(err, resilience.ErrDeadline) {
 		t.Fatalf("expired ctx: err = %v, want ErrDeadline", err)
 	}
@@ -53,8 +53,8 @@ func TestSearchCtxDeadlineTypedAndCounted(t *testing.T) {
 		t.Fatalf("DeadlineHits = %d, want 1", c.DeadlineHits)
 	}
 
-	// A background context behaves exactly like plain Search.
-	got, err = eng.SearchCtx(context.Background(), queries[0], 10)
+	// A background context behaves exactly like a nil one.
+	got, err = resultsOf(eng.Run(context.Background(), Request{Query: queries[0], TopK: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSearchCtxMidQueryPartialResults(t *testing.T) {
 	// First boundary check passes (w1 is fetched), the second expires:
 	// w2 and w3 are never fetched.
 	ctx := newCountdownCtx(1)
-	got, err := eng.SearchCtx(ctx, "#or(w1 w2 w3)", 10)
+	got, err := resultsOf(eng.Run(ctx, Request{Query: "#or(w1 w2 w3)", TopK: 10}))
 	if !errors.Is(err, resilience.ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mid-query deadline: err = %v", err)
 	}
@@ -153,7 +153,7 @@ func TestDeadlineNoGoroutineLeak(t *testing.T) {
 	}
 
 	// The engine still serves normal queries.
-	if _, err := eng.Search(queries[0], 10); err != nil {
+	if _, err := eng.Run(nil, Request{Query: queries[0], TopK: 10}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -173,13 +173,13 @@ func TestEngineRetryRecoversTransientFault(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			want, err := eng.Search(queries[0], 10)
+			want, err := resultsOf(eng.Run(nil, Request{Query: queries[0], TopK: 10}))
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			fs.SetFaultPlan(vfs.NewFaultPlan(1).FailReadEvery(1).Once())
-			got, err := eng.Search(queries[0], 10)
+			got, err := resultsOf(eng.Run(nil, Request{Query: queries[0], TopK: 10}))
 			fs.SetFaultPlan(nil)
 			if err != nil {
 				t.Fatalf("search with transient fault under retry: %v", err)
@@ -211,7 +211,7 @@ func TestEngineRetryRecoversTransientFault(t *testing.T) {
 			}
 			defer strict.Close()
 			fs.SetFaultPlan(vfs.NewFaultPlan(1).FailReadEvery(1).Once())
-			_, err = strict.Search(queries[0], 10)
+			_, err = strict.Run(nil, Request{Query: queries[0], TopK: 10})
 			fs.SetFaultPlan(nil)
 			if !errors.Is(err, vfs.ErrInjected) {
 				t.Fatalf("strict engine: err = %v, want ErrInjected", err)
@@ -238,7 +238,7 @@ func TestEngineBreakerFailsFastAndRecovers(t *testing.T) {
 	defer eng.Close()
 
 	const query = "w1"
-	want, err := eng.Search(query, 10) // also warms the internal-node cache
+	want, err := resultsOf(eng.Run(nil, Request{Query: query, TopK: 10})) // also warms the internal-node cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestEngineBreakerFailsFastAndRecovers(t *testing.T) {
 	// Persistent outage: two failing fetches trip the breaker.
 	fs.SetFaultPlan(vfs.NewFaultPlan(1).FailReadEvery(1))
 	for i := 0; i < 2; i++ {
-		if _, err := eng.Search(query, 10); err != nil {
+		if _, err := eng.Run(nil, Request{Query: query, TopK: 10}); err != nil {
 			t.Fatalf("degraded query %d under outage: %v", i, err)
 		}
 	}
@@ -258,7 +258,7 @@ func TestEngineBreakerFailsFastAndRecovers(t *testing.T) {
 
 	// Open: queries are shielded — degraded answers, zero device reads.
 	readsBefore := fs.Stats().FileAccesses
-	if _, err := eng.Search(query, 10); err != nil {
+	if _, err := eng.Run(nil, Request{Query: query, TopK: 10}); err != nil {
 		t.Fatalf("query against open breaker: %v", err)
 	}
 	if got := fs.Stats().FileAccesses; got != readsBefore {
@@ -272,7 +272,7 @@ func TestEngineBreakerFailsFastAndRecovers(t *testing.T) {
 	// breaker and service returns to clean rankings.
 	var recovered bool
 	for i := 0; i < 10 && !recovered; i++ {
-		got, err := eng.Search(query, 10)
+		got, err := resultsOf(eng.Run(nil, Request{Query: query, TopK: 10}))
 		if err != nil {
 			t.Fatalf("recovery query %d: %v", i, err)
 		}
@@ -306,7 +306,7 @@ func TestAdmissionGateShedsAndRecovers(t *testing.T) {
 	if err := eng.gate.Acquire(nil); err != nil { // occupy the only slot
 		t.Fatal(err)
 	}
-	_, err = eng.Search(queries[0], 10)
+	_, err = eng.Run(nil, Request{Query: queries[0], TopK: 10})
 	if !errors.Is(err, resilience.ErrShed) {
 		t.Fatalf("full gate: err = %v, want ErrShed", err)
 	}
@@ -316,7 +316,7 @@ func TestAdmissionGateShedsAndRecovers(t *testing.T) {
 	}
 	eng.gate.Release()
 
-	got, err := eng.Search(queries[0], 10)
+	got, err := resultsOf(eng.Run(nil, Request{Query: queries[0], TopK: 10}))
 	if err != nil {
 		t.Fatalf("freed gate: %v", err)
 	}
@@ -345,7 +345,7 @@ func TestAdmissionGateShedsAndRecovers(t *testing.T) {
 		waiter.gate.Release()
 	}()
 	close(release)
-	if _, err := waiter.Search(queries[0], 10); err != nil {
+	if _, err := waiter.Run(nil, Request{Query: queries[0], TopK: 10}); err != nil {
 		t.Fatalf("queued query not admitted: %v", err)
 	}
 	if c := waiter.Counters(); c.Shed != 0 || c.Queries != 1 {
@@ -459,7 +459,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 			want := make([][]Result, len(queries))
 			for i, q := range queries {
-				if want[i], err = clean.Search(q, 10); err != nil {
+				if want[i], err = resultsOf(clean.Run(nil, Request{Query: q, TopK: 10})); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -507,7 +507,7 @@ func TestChaosSoak(t *testing.T) {
 								ctx = c
 							}
 							pre := s.Counters()
-							got, err := s.SearchCtx(ctx, queries[i], 10)
+							got, err := resultsOf(s.Run(ctx, Request{Query: queries[i], TopK: 10}))
 							post := s.Counters()
 							switch {
 							case err != nil:
@@ -552,7 +552,7 @@ func TestChaosSoak(t *testing.T) {
 				before := chaotic.Counters()
 				cleanPass := true
 				for i, q := range queries {
-					got, err := chaotic.Search(q, 10)
+					got, err := resultsOf(chaotic.Run(nil, Request{Query: q, TopK: 10}))
 					if err != nil {
 						t.Fatalf("recovery pass %d query %d: %v", pass, i, err)
 					}

@@ -24,7 +24,7 @@ import (
 // one per goroutine.
 //
 // The searcher's Counters cover everything it has evaluated. At the end
-// of every Search / SearchDAAT / Explain call the delta since the last
+// of every Run / Explain call the delta since the last
 // flush is merged into the engine's atomic aggregates, so the engine
 // totals reconcile exactly with a serial run regardless of interleaving.
 type Searcher struct {
@@ -53,7 +53,7 @@ type Searcher struct {
 
 	// ctx is the in-flight query's context, set only for the duration
 	// of a Run call whose context can actually expire (ctx.Done() !=
-	// nil) — a plain Search pays one nil check per boundary and
+	// nil) — a plain Run pays one nil check per boundary and
 	// nothing more. deadlined latches the first observed expiry so
 	// DeadlineHits counts queries, not checks.
 	ctx       context.Context
@@ -132,41 +132,6 @@ func (s *Searcher) flush() {
 	e.mu.Unlock()
 	s.opLog = nil
 	s.opTerms = nil
-}
-
-// Search evaluates a query with term-at-a-time processing and returns
-// the topK documents (topK <= 0 means all).
-//
-// Deprecated: use Run.
-func (s *Searcher) Search(query string, topK int) ([]Result, error) {
-	resp, err := s.Run(nil, Request{Query: query, TopK: topK})
-	return resp.Results, err
-}
-
-// SearchDAAT evaluates a query document-at-a-time.
-//
-// Deprecated: use Run with Mode: ModeDAAT.
-func (s *Searcher) SearchDAAT(query string, topK int) ([]Result, error) {
-	resp, err := s.Run(nil, Request{Query: query, TopK: topK, Mode: ModeDAAT})
-	return resp.Results, err
-}
-
-// SearchCtx evaluates a query under a context; see Run for the full
-// shed/deadline contract. A nil or never-expiring ctx behaves exactly
-// like Search.
-//
-// Deprecated: use Run.
-func (s *Searcher) SearchCtx(ctx context.Context, query string, topK int) ([]Result, error) {
-	resp, err := s.Run(ctx, Request{Query: query, TopK: topK})
-	return resp.Results, err
-}
-
-// SearchDAATCtx is SearchCtx with document-at-a-time evaluation.
-//
-// Deprecated: use Run with Mode: ModeDAAT.
-func (s *Searcher) SearchDAATCtx(ctx context.Context, query string, topK int) ([]Result, error) {
-	resp, err := s.Run(ctx, Request{Query: query, TopK: topK, Mode: ModeDAAT})
-	return resp.Results, err
 }
 
 // expired reports whether the in-flight query's context has expired,

@@ -89,7 +89,7 @@ func (l *Lab) runMneme(b *Built, qsIdx int, plan core.BufferPlan, disableReserve
 	before := b.FS.Stats()
 	start := time.Now()
 	for _, q := range queries {
-		if _, err := eng.Search(q.Text, 0); err != nil {
+		if _, err := eng.Run(nil, core.Request{Query: q.Text}); err != nil {
 			return nil, err
 		}
 	}

@@ -94,7 +94,7 @@ func (l *Lab) AnalyzeQueryRepetition() (*Table, error) {
 		}
 		queries := b.Col.GenQueries(qs)
 		for _, q := range queries {
-			if _, err := eng.Search(q.Text, 0); err != nil {
+			if _, err := eng.Run(nil, core.Request{Query: q.Text}); err != nil {
 				eng.Close()
 				return nil, err
 			}

@@ -293,7 +293,7 @@ func shardedLabel(n int) string {
 // ~1/n of the postings) while total work does not.
 func (l *Lab) benchShardedRow(sb *ShardedBuilt, qsName string, queries []collection.Query) (BenchRow, error) {
 	costs := l.Model.Costs()
-	plan := planFromMaxList(sb.MaxList)
+	plan := core.PlanForMaxList(sb.MaxList)
 	engines, err := shard.OpenEngines([]*vfs.FS{sb.FS}, sb.Col.Name, sb.N, core.BackendMneme,
 		core.WithAnalyzer(analyzer()), core.WithPlan(plan))
 	if err != nil {

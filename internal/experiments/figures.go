@@ -248,7 +248,7 @@ func (l *Lab) Figure3() (*Figure, error) {
 		b.FS.Chill()
 		eng.Backend().ResetBufferStats()
 		for _, q := range queries {
-			if _, err := eng.Search(q.Text, 0); err != nil {
+			if _, err := eng.Run(nil, core.Request{Query: q.Text}); err != nil {
 				eng.Close()
 				return nil, err
 			}

@@ -235,22 +235,7 @@ func maxDictListBytes(fs *vfs.FS, name string, kind core.BackendKind) int64 {
 // of large, but at least 3 medium segments (the CACM rule); small = 3
 // small segments.
 func PlanFor(b *Built) core.BufferPlan {
-	return planFromMaxList(b.MaxList)
-}
-
-// planFromMaxList is the Table 2 heuristic as a function of the largest
-// inverted-list record, shared by the unsharded and sharded plans.
-func planFromMaxList(maxList int64) core.BufferPlan {
-	large := 3 * maxList
-	medium := large * 9 / 100
-	if min := int64(3 * 8192); medium < min {
-		medium = min
-	}
-	return core.BufferPlan{
-		SmallBytes:  3 * 4096,
-		MediumBytes: medium,
-		LargeBytes:  large,
-	}
+	return core.PlanForMaxList(b.MaxList)
 }
 
 // RunResult is one measured batch run of a query set under a system.
@@ -369,7 +354,7 @@ func (l *Lab) RunFresh(colName string, qsIndex int, sys System) (*RunResult, err
 
 	start := time.Now()
 	for _, q := range queries {
-		if _, err := eng.Search(q.Text, 0); err != nil {
+		if _, err := eng.Run(nil, core.Request{Query: q.Text}); err != nil {
 			return nil, fmt.Errorf("experiments: %s: query %s: %w", key, q.ID, err)
 		}
 	}

@@ -44,7 +44,7 @@ func (s *Span) SelfRealNS() int64 {
 
 // Trace records one query's span tree. It implements Recorder and is
 // not safe for concurrent use: attach it to at most one query stream
-// (Engine.TraceSearch serializes the attachment).
+// (Engine.TraceRun serializes the attachment).
 type Trace struct {
 	root  *Span
 	stack []*Span
