@@ -43,11 +43,11 @@ faults:
 	$(GO) test -count=1 -run 'Fault|Crash|Corrupt|Torn|Rot|Fsck|Degraded|Rollback|CloseHygiene|FlipByte' \
 		./internal/vfs/ ./internal/mneme/ ./internal/btree/ ./internal/core/
 
-# Stress tier: the batch driver, admission-gate, and deadline tests
-# repeated across GOMAXPROCS settings, so a test that passes only on
-# lucky scheduling fails here before merge.
+# Stress tier: the batch driver, admission-gate, deadline, and request
+# lifecycle contract tests repeated across GOMAXPROCS settings, so a
+# test that passes only on lucky scheduling fails here before merge.
 stress:
-	$(GO) test -count=10 -cpu 1,2,4,8 -run 'Batch|Shed|Gate|Deadline' ./internal/core/
+	$(GO) test -count=10 -cpu 1,2,4,8 -run 'Batch|Shed|Gate|Deadline|Lifecycle' ./internal/core/
 
 # Formatting gate: fails if any file needs gofmt.
 fmt:

@@ -374,20 +374,20 @@ func (s CacheStats) Add(o CacheStats) CacheStats {
 	}
 }
 
-// cacheStats assembles the engine's CacheStats, or nil when neither
+// cacheStats assembles the front's CacheStats, or nil when neither
 // cache layer is configured.
-func (e *Engine) cacheStats() *CacheStats {
-	if e.blocks == nil && e.results == nil {
+func (f *queryFront) cacheStats() *CacheStats {
+	if f.blocks == nil && f.results == nil {
 		return nil
 	}
 	cs := &CacheStats{}
-	if e.blocks != nil {
-		e.blocks.stats(cs)
+	if f.blocks != nil {
+		f.blocks.stats(cs)
 	}
-	if e.results != nil {
-		cs.ResultHits = e.results.hits.Load()
-		cs.ResultMisses = e.results.misses.Load()
-		cs.ResultEntries = e.results.entries()
+	if f.results != nil {
+		cs.ResultHits = f.results.hits.Load()
+		cs.ResultMisses = f.results.misses.Load()
+		cs.ResultEntries = f.results.entries()
 	}
 	return cs
 }

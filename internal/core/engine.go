@@ -9,7 +9,6 @@ import (
 	"repro/internal/lexicon"
 	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/textproc"
 	"repro/internal/vfs"
 )
 
@@ -267,30 +266,23 @@ func (m *engineMetrics) observeQuery(d Counters) {
 // Index mutation (AddDocument, DeleteDocument, SaveMeta) is the
 // exception: it must not run concurrently with searches.
 type Engine struct {
+	queryFront
+
 	fs      *vfs.FS
 	name    string
 	kind    BackendKind
 	backend Backend
 	dict    *lexicon.Dictionary
-	an      *textproc.Analyzer
 	docLens []uint32
 	total   int64
-	opts    engineOptions
 
-	agg atomicCounters
-	met *engineMetrics
-
-	// Hot-path caches, nil unless configured (WithBlockCache /
-	// WithResultCache — or, for blocks, an NRT-shared instance). gen is
-	// the engine's current cache generation: block-cache keys embed it,
-	// so InvalidateCaches orphans every cached block with one store.
-	blocks  *blockCache
-	results *resultCache
-	gen     atomic.Uint64
+	// gen is the engine's current cache generation: block-cache keys
+	// embed it, so InvalidateCaches orphans every cached block with one
+	// store.
+	gen atomic.Uint64
 
 	// Resilience state, all nil/zero unless the corresponding options
 	// were given — the default query path costs only nil checks.
-	gate        *resilience.Gate    // admission control (WithMaxInFlight)
 	retry       *resilience.Retry   // shared transient-fault retry budget (WithRetry)
 	treeBreaker *resilience.Breaker // the B-tree file's breaker (WithBreaker)
 	retriedBase int64               // retry count at last ResetCounters
@@ -327,33 +319,18 @@ func Open(fs *vfs.FS, name string, kind BackendKind, opts ...Option) (*Engine, e
 	if err != nil {
 		return nil, err
 	}
-	an := opt.Analyzer
-	if an == nil {
-		an = textproc.NewAnalyzer()
-	}
 	e := &Engine{
 		fs:      fs,
 		name:    name,
 		kind:    kind,
 		backend: backend,
 		dict:    dict,
-		an:      an,
 		docLens: lens,
 		total:   total,
-		opts:    opt,
-		met:     newEngineMetrics(),
 	}
+	e.initFront(opt)
 	if opt.TrackTermUse {
 		e.termUse = make(map[string]int64)
-	}
-	switch {
-	case opt.sharedBlocks != nil:
-		e.blocks = opt.sharedBlocks
-	case opt.BlockCacheMB > 0:
-		e.blocks = newBlockCache(int64(opt.BlockCacheMB) << 20)
-	}
-	if opt.ResultCacheEntries > 0 {
-		e.results = newResultCache(opt.ResultCacheEntries)
 	}
 	e.gen.Store(nextCacheGen())
 	e.initResilience()
@@ -378,9 +355,6 @@ func (e *Engine) FS() *vfs.FS { return e.fs }
 // Dictionary exposes the term dictionary.
 func (e *Engine) Dictionary() *lexicon.Dictionary { return e.dict }
 
-// Analyzer exposes the text analyzer.
-func (e *Engine) Analyzer() *textproc.Analyzer { return e.an }
-
 // Counters returns a snapshot of the engine's aggregate work counters:
 // the sum over every searcher's completed calls, plus the engine-wide
 // retry recovery count.
@@ -391,10 +365,6 @@ func (e *Engine) Counters() Counters {
 	}
 	return c
 }
-
-// Metrics exposes the engine's metrics registry (always on; populated
-// with deterministic distributions by every search).
-func (e *Engine) Metrics() *obs.Registry { return e.met.reg }
 
 // ResetCounters zeroes work counters, the metrics registry, the access
 // log, and term-use counts. It must not run concurrently with searches.
@@ -443,27 +413,6 @@ func (e *Engine) refOf(entry *lexicon.Entry) (uint64, bool) {
 	default:
 		return entry.Ref, entry.Ref != 0
 	}
-}
-
-// normalizeQuery parses and normalizes a query string against the
-// engine's analyzer. A nil node means the query was entirely stop words.
-func (e *Engine) normalizeQuery(query string) (*inference.Node, error) {
-	return normalizeQueryWith(e.an, query)
-}
-
-// normalizeQueryWith is normalizeQuery for callers without an Engine
-// (the NRT engine shares one analyzer across all its segments).
-func normalizeQueryWith(an *textproc.Analyzer, query string) (*inference.Node, error) {
-	n, err := inference.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return n.NormalizeTerms(func(t string) string {
-		if an.IsStopWord(t) {
-			return ""
-		}
-		return an.Normalize(t)
-	}), nil
 }
 
 // reserve scans the query tree and pins the inverted lists that are

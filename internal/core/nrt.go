@@ -141,27 +141,21 @@ type NRTSegStat struct {
 
 // NRTEngine is a collection that serves queries while ingesting. It
 // implements the same Run/Explain/Snapshot/Health surface as Engine,
-// so the serving layer treats the two interchangeably.
+// so the serving layer treats the two interchangeably. Its requests run
+// through the plain engine's lifecycle (the embedded queryFront: one
+// admission gate, result cache, deadline and accounting path); only the
+// view differs — segment searchers plus the memtable at a watermark.
 type NRTEngine struct {
+	// queryFront is NRT-level: one gate admits the whole query (the
+	// segments open ungated), the result cache is keyed by the
+	// visibility watermark, and every segment engine shares the block
+	// cache.
+	queryFront
+
 	fs   *vfs.FS
 	name string
 	kind BackendKind
-	an   *textproc.Analyzer
-	opts engineOptions
 	cfg  NRTConfig
-
-	gate *resilience.Gate // NRT-level admission (segments open ungated)
-	agg  atomicCounters
-	met  *engineMetrics
-
-	// blocks is one decoded-block cache shared by every segment engine
-	// (segments are immutable; each engine's own generation keeps keys
-	// distinct, and retired segments' entries age out). results memoizes
-	// rankings at the NRT level, keyed by the visibility watermark — a
-	// flush or compaction flip preserves rankings by construction, so
-	// only ingest (which moves the watermark) changes the key space.
-	blocks  *blockCache
-	results *resultCache
 
 	ingDocs  *obs.Counter
 	ingToks  *obs.Counter
@@ -232,20 +226,15 @@ func OpenNRT(fs *vfs.FS, name string, kind BackendKind, cfg NRTConfig, opts ...O
 	for _, o := range opts {
 		o(&opt)
 	}
-	an := opt.Analyzer
-	if an == nil {
-		an = textproc.NewAnalyzer()
-	}
 	e := &NRTEngine{
 		fs:   fs,
 		name: name,
 		kind: kind,
-		an:   an,
-		opts: opt,
 		cfg:  cfg,
-		met:  newEngineMetrics(),
 		mem:  newMemtable(),
 	}
+	e.initFront(opt)
+	an := e.an
 	reg := e.met.reg
 	e.ingDocs = reg.Counter("ingested_docs_total")
 	e.ingToks = reg.Counter("ingested_tokens_total")
@@ -255,15 +244,6 @@ func OpenNRT(fs *vfs.FS, name string, kind BackendKind, cfg NRTConfig, opts ...O
 	e.memDocsG = reg.Gauge("memtable_docs")
 	e.memBytsG = reg.Gauge("memtable_bytes")
 	e.segsG = reg.Gauge("segments")
-	if opt.MaxInFlight > 0 {
-		e.gate = resilience.NewGate(opt.MaxInFlight, opt.QueueWait)
-	}
-	if opt.BlockCacheMB > 0 {
-		e.blocks = newBlockCache(int64(opt.BlockCacheMB) << 20)
-	}
-	if opt.ResultCacheEntries > 0 {
-		e.results = newResultCache(opt.ResultCacheEntries)
-	}
 
 	man := e.loadManifest()
 	if man == nil {
@@ -1061,15 +1041,8 @@ func (e *NRTEngine) NumDocs() int {
 	return int(e.docCount)
 }
 
-// Analyzer exposes the shared analyzer.
-func (e *NRTEngine) Analyzer() *textproc.Analyzer { return e.an }
-
 // Kind reports the backend every segment runs on.
 func (e *NRTEngine) Kind() BackendKind { return e.kind }
-
-// Metrics exposes the NRT engine's metrics registry (query metrics
-// plus the ingest counters and memtable gauges).
-func (e *NRTEngine) Metrics() *obs.Registry { return e.met.reg }
 
 // Counters returns the aggregate work counters across every query this
 // engine has served, plus retry recoveries from the segment engines.
@@ -1093,32 +1066,24 @@ func (e *NRTEngine) FlushStats() []FlushStat {
 
 // Health reports serving fitness: an NRT engine keeps serving queries
 // even with ingest write-broken, so Serving mirrors the segment
-// engines' breaker state (all-open on every segment means nothing can
-// be fetched).
-func (e *NRTEngine) Health() Health {
-	h := Health{Docs: e.NumDocs(), Serving: true}
+// engines' breakers (all open means nothing can be fetched).
+func (e *NRTEngine) Health() Health { return healthOf(e.NumDocs(), e.breakerSnaps()) }
+
+// breakerSnaps collects every segment's breaker snapshots, keyed
+// segment/pool.
+func (e *NRTEngine) breakerSnaps() map[string]resilience.BreakerSnap {
 	e.viewMu.RLock()
 	defer e.viewMu.RUnlock()
-	if len(e.segs) == 0 {
-		return h
-	}
-	allOut := true
+	var out map[string]resilience.BreakerSnap
 	for _, s := range e.segs {
-		sh := s.eng.Health()
-		for pool, st := range sh.Breakers {
-			if h.Breakers == nil {
-				h.Breakers = make(map[string]string)
+		for pool, b := range s.eng.breakerSnaps() {
+			if out == nil {
+				out = make(map[string]resilience.BreakerSnap)
 			}
-			h.Breakers[s.name+"/"+pool] = st
-		}
-		if sh.Serving {
-			allOut = false
+			out[s.name+"/"+pool] = b
 		}
 	}
-	if allOut {
-		h.Serving = false
-	}
-	return h
+	return out
 }
 
 // Snapshot captures the engine's aggregate state, including the NRT
@@ -1151,18 +1116,6 @@ func (e *NRTEngine) Snapshot() Snapshot {
 	if len(buffers) == 0 {
 		buffers = nil
 	}
-	var cache *CacheStats
-	if e.blocks != nil || e.results != nil {
-		cache = &CacheStats{}
-		if e.blocks != nil {
-			e.blocks.stats(cache)
-		}
-		if e.results != nil {
-			cache.ResultHits = e.results.hits.Load()
-			cache.ResultMisses = e.results.misses.Load()
-			cache.ResultEntries = e.results.entries()
-		}
-	}
 	return Snapshot{
 		Backend:        e.kind.String(),
 		Counters:       c,
@@ -1170,7 +1123,8 @@ func (e *NRTEngine) Snapshot() Snapshot {
 		Buffers:        buffers,
 		CorruptRecords: c.CorruptRecords,
 		Metrics:        e.met.reg.Snapshot(),
+		Resilience:     e.resilienceStats(c, e.breakerSnaps),
 		NRT:            st,
-		Cache:          cache,
+		Cache:          e.cacheStats(),
 	}
 }

@@ -2,134 +2,48 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"strconv"
 
 	"repro/internal/inference"
 	"repro/internal/postings"
-	"repro/internal/resilience"
 )
 
 // Run evaluates one Request against the live collection: every flushed
-// segment plus the searchable memtable tail. The contract matches
-// Searcher.Run (shed, deadline, degraded, pruning, per-request counter
-// delta); rankings are identical to a batch build of the same document
-// prefix because the merged per-term list — segment lists concatenated
-// with the watermark-truncated memtable list — is exactly the batch
-// list, and document statistics come from the same append-only tables.
-// Safe for concurrent use, including concurrently with Ingest, Flush,
-// and Compact.
+// segment plus the searchable memtable tail. It runs the plain engine's
+// lifecycle (see Searcher.Run for the contract); only the view differs.
+// Rankings are identical to a batch build of the same document prefix
+// because the merged per-term list — segment lists concatenated with
+// the watermark-truncated memtable list — is exactly the batch list,
+// and document statistics come from the same append-only tables. Safe
+// for concurrent use, including concurrently with Ingest, Flush, and
+// Compact.
 func (e *NRTEngine) Run(ctx context.Context, req Request) (Response, error) {
-	if req.Deadline > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Deadline)
-		defer cancel()
-	}
-	if g := e.gate; g != nil {
-		if err := g.Acquire(ctx); err != nil {
-			var delta Counters
-			if errors.Is(err, resilience.ErrShed) {
-				delta.Shed = 1
-			} else {
-				delta.DeadlineHits = 1
-			}
-			e.agg.add(delta)
-			e.met.observeQuery(delta)
-			err = fmt.Errorf("core: query not admitted: %w", err)
-			return Response{Counters: delta, Outcome: outcomeOf(err, delta)}, err
-		}
-		defer g.Release()
-	}
-
-	// Result-cache probe: keys embed the visibility watermark, so a
-	// memoized ranking can only be served to a query that would see the
-	// exact same document prefix — ingest moves the watermark and
-	// thereby invalidates, while flush and compaction flips (which
-	// preserve rankings by construction) don't need to.
-	rc := e.results
-	cacheable := rc != nil && req.MinScore == 0
-	if cacheable {
-		e.pubMu.Lock()
-		w := e.docCount
-		e.pubMu.Unlock()
-		if res, ok := rc.get(nrtResultKey(w, req)); ok {
-			delta := Counters{Queries: 1, ResultCacheHits: 1}
-			e.agg.add(delta)
-			e.met.observeQuery(delta)
-			return Response{Results: res, Counters: delta, Outcome: OutcomeOK}, nil
-		}
-	}
-
-	// Queries hold the view read-lock for their whole evaluation:
-	// flush/compact flips wait for them, so the captured segment
-	// engines cannot be closed underfoot.
-	e.viewMu.RLock()
-	defer e.viewMu.RUnlock()
-
-	n, err := normalizeQueryWith(e.an, req.Query)
-	if err != nil {
-		var delta Counters
-		return Response{Counters: delta, Outcome: outcomeOf(err, delta)}, err
-	}
-	q := e.newQueryLocked(ctx, req)
-	q.own.Queries++
-	if n == nil {
-		return q.finish(nil, nil)
-	}
-	pins := make([]Pin, 0, len(q.subs))
-	for _, sub := range q.subs {
-		pins = append(pins, sub.e.reserve(n))
-	}
-	defer func() {
-		for _, p := range pins {
-			p.Release()
-		}
-	}()
-
-	var res []Result
-	switch {
-	case req.Mode == ModeDAAT && (e.opts.Prune || req.Prune):
-		res, err = inference.EvaluateMaxScoreFloor(n, q, req.TopK, req.MinScore)
-	case req.Mode == ModeDAAT:
-		res, err = inference.EvaluateDAAT(n, q, req.TopK)
-	default:
-		res, err = inference.EvaluateTAAT(n, q, req.TopK)
-	}
-	resp, err := q.finish(res, err)
-	if cacheable && err == nil && resp.Outcome == OutcomeOK {
-		// Stored under the watermark this query actually evaluated at
-		// (it may have advanced past the one probed above).
-		rc.put(nrtResultKey(q.w, req), resp.Results)
-	}
-	return resp, err
-}
-
-// nrtResultKey scopes a request's canonical key to a visibility
-// watermark: the NRT result cache's unit of invalidation.
-func nrtResultKey(w uint32, req Request) string {
-	return strconv.FormatUint(uint64(w), 10) + "\x00" + req.CanonicalKey()
+	return e.run(ctx, req, e)
 }
 
 // Explain returns the belief breakdown a query assigns to one document,
 // evaluated over the same merged view a Run would see.
 func (e *NRTEngine) Explain(query string, doc uint32) (*inference.Explanation, error) {
-	e.viewMu.RLock()
-	defer e.viewMu.RUnlock()
-	n, err := normalizeQueryWith(e.an, query)
-	if err != nil {
-		return nil, err
-	}
-	if n == nil {
-		return &inference.Explanation{Op: "(all terms stopped)", Belief: 0}, nil
-	}
-	q := e.newQueryLocked(nil, Request{})
-	ex, err := inference.Explain(n, q, doc)
-	q.finish(nil, nil)
-	return ex, err
+	return e.explain(query, doc, e)
+}
+
+// cacheScope implements queryTarget: result-cache keys embed the
+// visibility watermark, so a memoized ranking can only be served to a
+// query that would see the exact same document prefix — ingest moves
+// the watermark and thereby invalidates, while flush and compaction
+// flips (which preserve rankings by construction) don't need to. A
+// probe reads the watermark only: no view lock, no segment searcher.
+func (e *NRTEngine) cacheScope() string {
+	e.pubMu.Lock()
+	w := e.docCount
+	e.pubMu.Unlock()
+	return watermarkScope(w)
+}
+
+// watermarkScope renders a visibility watermark as a result-cache key
+// prefix.
+func watermarkScope(w uint32) string {
+	return strconv.FormatUint(uint64(w), 10) + "\x00"
 }
 
 // nrtQuery is one request's consistent cut of the live collection: a
@@ -147,58 +61,74 @@ type nrtQuery struct {
 	lens []uint32 // per-doc token counts for docs < w
 	toks int64    // total token count across docs < w
 	own  Counters // work not attributable to a sub-searcher
+	dl   deadline // the memtable's deadline latch
 }
 
-// newQueryLocked captures the query view. Caller holds e.viewMu.RLock.
-func (e *NRTEngine) newQueryLocked(ctx context.Context, req Request) *nrtQuery {
+// view implements queryTarget. The query holds the view read-lock
+// until end: flush/compact flips wait for it, so the captured segment
+// engines cannot be closed underfoot.
+func (e *NRTEngine) view(ctx context.Context, req Request) queryView {
+	e.viewMu.RLock()
 	q := &nrtQuery{e: e, mem: e.mem}
 	e.pubMu.Lock()
 	q.w = e.docCount
 	q.lens = e.lens[:q.w]
 	q.toks = e.totalToks
 	e.pubMu.Unlock()
+	q.dl.arm(ctx)
 	for _, s := range e.segs {
 		sub := s.eng.Acquire()
-		if ctx != nil && ctx.Done() != nil {
-			sub.ctx = ctx
-		}
-		sub.reqDegraded = req.Degraded
-		sub.reqPrune = req.Prune
+		sub.view(ctx, req)
 		q.subs = append(q.subs, sub)
 	}
 	return q
 }
 
-// finish settles every sub-searcher (skip statistics, pooled buffers,
-// engine-aggregate merges on the segment engines), folds the combined
-// per-request delta into the NRT aggregates, and labels the outcome.
-func (q *nrtQuery) finish(res []Result, err error) (Response, error) {
-	delta := q.own
-	deadlined := false
-	for _, sub := range q.subs {
-		sub.finishIters()
-		sub.flush()
-		delta = delta.Add(sub.counters)
-		if sub.deadlined {
-			deadlined = true
-		}
+func (q *nrtQuery) cacheScope() string { return watermarkScope(q.w) }
+
+func (q *nrtQuery) work() *Counters { return &q.own }
+
+// reserve pins resident lists in every segment.
+func (q *nrtQuery) reserve(n *inference.Node) Pin {
+	pins := make(pinSet, len(q.subs))
+	for i, sub := range q.subs {
+		pins[i] = sub.e.reserve(n)
 	}
-	// Each sub latches its own deadline hit; a query is cut short once.
+	return pins
+}
+
+// pinSet releases one reservation per segment.
+type pinSet []Pin
+
+func (p pinSet) Release() {
+	for _, pin := range p {
+		pin.Release()
+	}
+}
+
+// end settles every sub-searcher (skip statistics, pooled buffers,
+// engine-aggregate merges on the segment engines), folds the combined
+// delta into the NRT aggregates, and releases the view lock.
+func (q *nrtQuery) end() (Counters, bool) {
+	delta, cut := q.own, q.dl.hit
+	for _, sub := range q.subs {
+		d, c := sub.end()
+		delta = delta.Add(d)
+		cut = cut || c
+	}
+	// Each searcher latches its own deadline hit; a query is cut short once.
 	if delta.DeadlineHits > 1 {
 		delta.DeadlineHits = 1
 	}
-	if err == nil && deadlined {
-		err = fmt.Errorf("core: query cut short: %w", resilience.ErrDeadline)
-	}
-	q.e.agg.add(delta)
-	q.e.met.observeQuery(delta)
-	return Response{Results: res, Counters: delta, Outcome: outcomeOf(err, delta)}, err
+	q.e.account(delta)
+	q.e.viewMu.RUnlock()
+	return delta, cut
 }
 
 // Postings implements inference.Source: the materialized merged list
 // for term — segment lists in segment order, then the memtable's
 // watermark-truncated tail. The returned slice is freshly allocated
-// (sub-searcher buffers are pooled and reclaimed at finish).
+// (sub-searcher buffers are pooled and reclaimed at end).
 func (q *nrtQuery) Postings(term string) ([]postings.Posting, bool, error) {
 	var out []postings.Posting
 	found := false
@@ -212,11 +142,13 @@ func (q *nrtQuery) Postings(term string) ([]postings.Posting, bool, error) {
 			found = true
 		}
 	}
-	if mps, _ := q.mem.lookup(term, q.w); len(mps) > 0 {
-		q.own.Lookups++
-		q.own.Postings += int64(len(mps))
-		out = append(out, mps...)
-		found = true
+	if !q.expired() {
+		if mps, _ := q.mem.lookup(term, q.w); len(mps) > 0 {
+			q.own.Lookups++
+			q.own.Postings += int64(len(mps))
+			out = append(out, mps...)
+			found = true
+		}
 	}
 	if !found {
 		return nil, false, nil
@@ -240,9 +172,11 @@ func (q *nrtQuery) Iterator(term string) (inference.PostingIterator, bool, error
 			parts = append(parts, it)
 		}
 	}
-	if mi := q.mem.iterator(term, q.w); mi != nil {
-		q.own.Lookups++
-		parts = append(parts, &memCountingIter{mi: mi, c: &q.own})
+	if !q.expired() {
+		if mi := q.mem.iterator(term, q.w); mi != nil {
+			q.own.Lookups++
+			parts = append(parts, &countingIterator{it: mi, c: &q.own, dl: &q.dl})
+		}
 	}
 	if len(parts) == 0 {
 		return nil, false, nil
@@ -276,30 +210,6 @@ func (q *nrtQuery) AvgDocLen() float64 {
 // no override table.
 func (q *nrtQuery) TermDF(string) (uint64, bool) { return 0, false }
 
-// memCountingIter counts memtable postings into the query's own
-// counters as they stream past, mirroring what countingIterator does
-// for segment reads.
-type memCountingIter struct {
-	mi *memIter
-	c  *Counters
-}
-
-func (m *memCountingIter) Next() (postings.Posting, bool) {
-	p, ok := m.mi.Next()
-	if ok {
-		m.c.Postings++
-	}
-	return p, ok
-}
-
-func (m *memCountingIter) Advance(target uint32) (postings.Posting, bool) {
-	p, ok := m.mi.Advance(target)
-	if ok {
-		m.c.Postings++
-	}
-	return p, ok
-}
-
-func (m *memCountingIter) DF() uint64            { return m.mi.DF() }
-func (m *memCountingIter) MaxTF() (uint32, bool) { return m.mi.MaxTF() }
-func (m *memCountingIter) Err() error            { return m.mi.Err() }
+// expired is the memtable's deadline check, latched like a segment
+// searcher's.
+func (q *nrtQuery) expired() bool { return q.dl.expired(&q.own) }

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/inference"
+	"repro/internal/obs"
 	"repro/internal/resilience"
+	"repro/internal/textproc"
 )
 
 // Mode selects a Request's evaluation strategy.
@@ -54,7 +56,10 @@ func (m *Mode) UnmarshalText(b []byte) error {
 // Request is the single description of one retrieval call. Every entry
 // point — the CLIs, the batch driver, the bench harness, and the
 // inqueryd HTTP server (which unmarshals this struct directly from the
-// request body) — reduces to a Request handed to Searcher.Run.
+// request body) — reduces to a Request handed to Run, and plain and NRT
+// engines run it through the same lifecycle (admission, result cache,
+// deadline, evaluation, accounting); only the view it is evaluated
+// against differs.
 type Request struct {
 	// Query is the query text in the INQUERY operator language.
 	Query string `json:"query"`
@@ -206,8 +211,212 @@ func outcomeOf(err error, delta Counters) Outcome {
 	}
 }
 
+// queryFront is the request-facing state every engine topology shares:
+// the resolved options, the analyzer, the admission gate, the hot-path
+// caches, and the aggregate work counters and metrics each request
+// feeds. Engine and NRTEngine both embed it, so a request runs through
+// one lifecycle (run) whichever topology serves it; only the view it
+// evaluates against differs (see queryTarget).
+type queryFront struct {
+	opts engineOptions
+	an   *textproc.Analyzer
+
+	// Admission control (WithMaxInFlight) and the hot-path caches
+	// (WithBlockCache / WithResultCache — or, for blocks, an NRT-shared
+	// instance), each nil unless configured.
+	gate    *resilience.Gate
+	blocks  *blockCache
+	results *resultCache
+
+	agg atomicCounters
+	met *engineMetrics
+}
+
+// initFront resolves the front from an engine's options. It is the one
+// place the analyzer default, the caches, the metrics registry and the
+// gate (with its gate_wait_ns hook) are set up.
+func (f *queryFront) initFront(opt engineOptions) {
+	f.opts = opt
+	f.an = opt.Analyzer
+	if f.an == nil {
+		f.an = textproc.NewAnalyzer()
+	}
+	f.met = newEngineMetrics()
+	switch {
+	case opt.sharedBlocks != nil:
+		f.blocks = opt.sharedBlocks
+	case opt.BlockCacheMB > 0:
+		f.blocks = newBlockCache(int64(opt.BlockCacheMB) << 20)
+	}
+	if opt.ResultCacheEntries > 0 {
+		f.results = newResultCache(opt.ResultCacheEntries)
+	}
+	if opt.MaxInFlight > 0 {
+		f.gate = resilience.NewGate(opt.MaxInFlight, opt.QueueWait)
+		f.gate.Observe = func(w time.Duration) { f.met.gateWait.Observe(int64(w)) }
+	}
+}
+
+// Analyzer exposes the text analyzer (an NRT engine shares one across
+// its segments).
+func (f *queryFront) Analyzer() *textproc.Analyzer { return f.an }
+
+// Metrics exposes the metrics registry (always on; populated with
+// deterministic distributions by every search, plus the ingest counters
+// and memtable gauges on an NRT engine).
+func (f *queryFront) Metrics() *obs.Registry { return f.met.reg }
+
+// account folds one request's counter delta into the front's
+// aggregates and metrics.
+func (f *queryFront) account(d Counters) {
+	f.agg.add(d)
+	f.met.observeQuery(d)
+}
+
+// normalize parses and normalizes a query string against the front's
+// analyzer. A nil node means the query was entirely stop words.
+func (f *queryFront) normalize(query string) (*inference.Node, error) {
+	n, err := inference.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	return n.NormalizeTerms(func(t string) string {
+		if f.an.IsStopWord(t) {
+			return ""
+		}
+		return f.an.Normalize(t)
+	}), nil
+}
+
+// queryTarget is the topology half of a request: what the shared
+// lifecycle evaluates against. A plain engine's target is a Searcher,
+// which is its own view; an NRT engine captures a view of its segments
+// and memtable at a watermark for each admitted request.
+type queryTarget interface {
+	// cacheScope prefixes result-cache keys: empty for a plain engine,
+	// the visibility watermark for NRT. It must not take the view lock.
+	cacheScope() string
+	// account records a request that never opened a view: a
+	// result-cache hit or an admission failure.
+	account(d Counters)
+	// view captures the source one request evaluates against.
+	view(ctx context.Context, req Request) queryView
+}
+
+// queryView is one request's evaluation source.
+type queryView interface {
+	inference.Source
+	inference.StreamSource
+	// work is the counter block the lifecycle charges the query to.
+	work() *Counters
+	// reserve pins the query's already-resident inverted lists.
+	reserve(n *inference.Node) Pin
+	// end settles the view — iterator skip statistics, pooled buffers,
+	// aggregate feeds — and returns the request's counter delta and
+	// whether its deadline cut evaluation short.
+	end() (Counters, bool)
+	// cacheScope is the result-cache scope the view evaluated at.
+	cacheScope() string
+}
+
+// run evaluates one Request against a target; see Searcher.Run for
+// the contract. The order — deadline, result-cache probe, gate,
+// normalization, view, evaluator, cut-short label, cache put — is the
+// same for every topology.
+func (f *queryFront) run(ctx context.Context, req Request, t queryTarget) (Response, error) {
+	if req.Deadline > 0 {
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, req.Deadline)
+		defer cancel()
+	}
+	rc := f.results
+	cacheable := rc != nil && req.MinScore == 0
+	var key string
+	if cacheable {
+		key = req.CanonicalKey()
+		if res, ok := rc.get(t.cacheScope() + key); ok {
+			delta := Counters{Queries: 1, ResultCacheHits: 1}
+			t.account(delta)
+			return Response{Results: res, Counters: delta, Outcome: OutcomeOK}, nil
+		}
+	}
+	res, delta, v, err := f.evaluate(ctx, req, t)
+	resp := Response{Results: res, Counters: delta, Outcome: outcomeOf(err, delta)}
+	if cacheable && err == nil && resp.Outcome == OutcomeOK {
+		// Stored under the scope the query actually evaluated at (an NRT
+		// watermark may have advanced past the one probed above).
+		rc.put(v.cacheScope()+key, res)
+	}
+	return resp, err
+}
+
+// evaluate runs the request through admission, normalization, the
+// target's view, reservation, and the selected evaluator. Reservations
+// are released and the view settled on the way out, so the returned
+// delta is complete; the view is nil when the request never got one
+// (an error says why).
+func (f *queryFront) evaluate(ctx context.Context, req Request, t queryTarget) (res []Result, delta Counters, v queryView, err error) {
+	if g := f.gate; g != nil {
+		if err := g.Acquire(ctx); err != nil {
+			if errors.Is(err, resilience.ErrShed) {
+				delta.Shed = 1
+			} else {
+				delta.DeadlineHits = 1
+			}
+			t.account(delta)
+			return nil, delta, nil, fmt.Errorf("core: query not admitted: %w", err)
+		}
+		defer g.Release()
+	}
+	n, err := f.normalize(req.Query)
+	if err != nil {
+		return nil, delta, nil, err
+	}
+	v = t.view(ctx, req)
+	defer func() {
+		var cut bool
+		delta, cut = v.end()
+		if err == nil && cut {
+			err = fmt.Errorf("core: query cut short: %w (%w)", resilience.ErrDeadline, ctx.Err())
+		}
+	}()
+	v.work().Queries++
+	if n == nil {
+		return nil, delta, v, nil
+	}
+	defer v.reserve(n).Release()
+	switch {
+	case req.Mode == ModeDAAT && (f.opts.Prune || req.Prune):
+		res, err = inference.EvaluateMaxScoreFloor(n, v, req.TopK, req.MinScore)
+	case req.Mode == ModeDAAT:
+		res, err = inference.EvaluateDAAT(n, v, req.TopK)
+	default:
+		res, err = inference.EvaluateTAAT(n, v, req.TopK)
+	}
+	return res, delta, v, err
+}
+
+// explain returns the belief breakdown a query assigns to one document,
+// over the same normalization and view a Run would use.
+func (f *queryFront) explain(query string, doc uint32, t queryTarget) (*inference.Explanation, error) {
+	n, err := f.normalize(query)
+	if err != nil {
+		return nil, err
+	}
+	if n == nil {
+		return &inference.Explanation{Op: "(all terms stopped)", Belief: 0}, nil
+	}
+	v := t.view(nil, Request{})
+	defer v.end()
+	return inference.Explain(n, v, doc)
+}
+
 // Run evaluates one Request. It is the single query entry point; the
-// batch driver and TraceRun reduce to it. The contract:
+// batch driver and TraceRun reduce to it, and NRTEngine.Run shares its
+// lifecycle. The contract:
 //
 //   - If the engine has an admission gate (WithMaxInFlight) and the
 //     request is shed, no evaluation happens: OutcomeShed, an error
@@ -217,7 +426,8 @@ func outcomeOf(err error, delta Counters) Outcome {
 //     context deadline from ctx (nil ctx allowed). A request cut short
 //     — by that budget or by ctx itself — returns the partial ranking
 //     with OutcomeDeadline and an error chaining to
-//     resilience.ErrDeadline: a truncated ranking is always labelled.
+//     resilience.ErrDeadline and the context's error: a truncated
+//     ranking is always labelled.
 //   - Request.Degraded and Request.Prune act as per-request overrides
 //     OR-ed with the engine-level WithDegraded / WithPruning options.
 //   - Response.Counters is this request's own work delta, so callers
@@ -225,92 +435,13 @@ func outcomeOf(err error, delta Counters) Outcome {
 //     diffing engine aggregates.
 //   - On an engine opened WithResultCache, a request whose CanonicalKey
 //     was answered completely (OutcomeOK) since the last index mutation
-//     is served from memory: the delta records one query and one
-//     ResultCacheHits and nothing else — no lookups, no fetched bytes,
-//     no postings. Score-floored requests (MinScore > 0, the shard
-//     coordinator's seeded sub-queries) bypass the cache entirely.
+//     is served from memory, before admission: the delta records one
+//     query and one ResultCacheHits and nothing else — no lookups, no
+//     fetched bytes, no postings. Score-floored requests (MinScore > 0,
+//     the shard coordinator's seeded sub-queries) bypass the cache
+//     entirely.
 func (s *Searcher) Run(ctx context.Context, req Request) (Response, error) {
-	if req.Deadline > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Deadline)
-		defer cancel()
-	}
-	rc := s.e.results
-	cacheable := rc != nil && req.MinScore == 0
-	var key string
-	if cacheable {
-		key = req.CanonicalKey()
-		if res, ok := rc.get(key); ok {
-			before := s.counters
-			s.counters.Queries++
-			s.counters.ResultCacheHits++
-			delta := s.counters.Sub(before)
-			s.flush()
-			return Response{Results: res, Counters: delta, Outcome: OutcomeOK}, nil
-		}
-	}
-	before := s.counters
-	res, err := s.evaluate(ctx, req)
-	delta := s.counters.Sub(before)
-	resp := Response{Results: res, Counters: delta, Outcome: outcomeOf(err, delta)}
-	if cacheable && err == nil && resp.Outcome == OutcomeOK {
-		rc.put(key, res)
-	}
-	return resp, err
-}
-
-// evaluate runs the request through admission, normalization,
-// reservation, and the selected evaluator. Counter flushing and
-// iterator settlement happen on the way out, so the caller's delta is
-// complete when evaluate returns.
-func (s *Searcher) evaluate(ctx context.Context, req Request) ([]Result, error) {
-	if g := s.e.gate; g != nil {
-		if err := g.Acquire(ctx); err != nil {
-			if errors.Is(err, resilience.ErrShed) {
-				s.counters.Shed++
-			} else {
-				s.counters.DeadlineHits++
-			}
-			s.flush()
-			return nil, fmt.Errorf("core: query not admitted: %w", err)
-		}
-		defer g.Release()
-	}
-	s.deadlined = false
-	s.reqDegraded, s.reqPrune = req.Degraded, req.Prune
-	defer func() { s.reqDegraded, s.reqPrune = false, false }()
-	if ctx != nil && ctx.Done() != nil {
-		s.ctx = ctx
-		defer func() { s.ctx = nil }()
-	}
-	n, err := s.e.normalizeQuery(req.Query)
-	if err != nil {
-		return nil, err
-	}
-	s.counters.Queries++
-	defer s.flush()
-	defer s.finishIters()
-	if n == nil {
-		return nil, nil
-	}
-	pin := s.e.reserve(n)
-	defer pin.Release()
-	var res []Result
-	switch {
-	case req.Mode == ModeDAAT && (s.e.opts.Prune || s.reqPrune):
-		res, err = inference.EvaluateMaxScoreFloor(n, s, req.TopK, req.MinScore)
-	case req.Mode == ModeDAAT:
-		res, err = inference.EvaluateDAAT(n, s, req.TopK)
-	default:
-		res, err = inference.EvaluateTAAT(n, s, req.TopK)
-	}
-	if err == nil && s.deadlined {
-		err = fmt.Errorf("core: query cut short: %w (%w)", resilience.ErrDeadline, s.ctx.Err())
-	}
-	return res, err
+	return s.e.run(ctx, req, s)
 }
 
 // Run evaluates one Request on an implicit per-call Searcher. It is

@@ -1,13 +1,10 @@
 package core
 
-import (
-	"time"
+import "repro/internal/resilience"
 
-	"repro/internal/resilience"
-)
-
-// initResilience wires the engine's resilience options into the storage
-// layers at Open time. Everything here is opt-in: with no resilience
+// initResilience wires the engine's retry and breaker options into the
+// storage layers at Open time (the admission gate is the query front's;
+// see initFront). Everything here is opt-in: with no resilience
 // options the engine carries nil fields and the hot paths pay only nil
 // checks, so default behaviour — including which error a fault surfaces
 // as and the benchmark cost profile — is exactly the pre-resilience
@@ -43,15 +40,6 @@ func (e *Engine) initResilience() {
 			b.tree.SetResilience(g)
 		}
 	}
-	if o.MaxInFlight > 0 {
-		e.gate = resilience.NewGate(o.MaxInFlight, o.QueueWait)
-		e.gate.Observe = func(w time.Duration) { e.met.gateWait.Observe(int64(w)) }
-	}
-}
-
-// resilienceConfigured reports whether any resilience option is active.
-func (e *Engine) resilienceConfigured() bool {
-	return e.gate != nil || e.retry != nil || e.opts.BreakerThreshold > 0
 }
 
 // breakerSnaps collects the backend's circuit-breaker snapshots, keyed
@@ -97,9 +85,11 @@ type Health struct {
 // Health reports the engine's serving fitness: it stops serving only
 // when breakers are armed and every one of them is open (every pool
 // fails fast, so no query can touch storage).
-func (e *Engine) Health() Health {
-	h := Health{Docs: e.NumDocs(), Serving: true}
-	snaps := e.breakerSnaps()
+func (e *Engine) Health() Health { return healthOf(e.NumDocs(), e.breakerSnaps()) }
+
+// healthOf derives a Health from an index's breaker snapshots.
+func healthOf(docs int, snaps map[string]resilience.BreakerSnap) Health {
+	h := Health{Docs: docs, Serving: true}
 	if len(snaps) == 0 {
 		return h
 	}
@@ -119,19 +109,25 @@ func (e *Engine) Health() Health {
 // no resilience option (WithMaxInFlight, WithRetry, WithBreaker) was
 // given — which keeps Snapshot JSON byte-identical for plain engines.
 func (e *Engine) ResilienceStats() *ResilienceStats {
-	if !e.resilienceConfigured() {
+	return e.resilienceStats(e.Counters(), e.breakerSnaps)
+}
+
+// resilienceStats assembles the summary from the topology's aggregate
+// counters and breaker snapshots plus the front's gate occupancy, or
+// returns nil when no resilience option is active.
+func (f *queryFront) resilienceStats(c Counters, breakers func() map[string]resilience.BreakerSnap) *ResilienceStats {
+	if f.gate == nil && f.opts.RetryAttempts <= 1 && f.opts.BreakerThreshold <= 0 {
 		return nil
 	}
-	c := e.Counters()
 	rs := &ResilienceStats{
 		RetriedReads: c.RetriedReads,
 		DeadlineHits: c.DeadlineHits,
 		Shed:         c.Shed,
-		Breakers:     e.breakerSnaps(),
+		Breakers:     breakers(),
 	}
-	if e.gate != nil {
-		rs.MaxInFlight = e.gate.Max()
-		rs.InFlight = e.gate.InFlight()
+	if f.gate != nil {
+		rs.MaxInFlight = f.gate.Max()
+		rs.InFlight = f.gate.InFlight()
 	}
 	return rs
 }

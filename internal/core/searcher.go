@@ -51,19 +51,54 @@ type Searcher struct {
 	// only per-access cost of the tracing facility is this nil check.
 	rec obs.Recorder
 
-	// ctx is the in-flight query's context, set only for the duration
-	// of a Run call whose context can actually expire (ctx.Done() !=
-	// nil) — a plain Run pays one nil check per boundary and
-	// nothing more. deadlined latches the first observed expiry so
-	// DeadlineHits counts queries, not checks.
-	ctx       context.Context
-	deadlined bool
+	// dl is the in-flight request's deadline, armed only for the
+	// duration of a Run call.
+	dl deadline
 
 	// reqDegraded and reqPrune are the in-flight Request's per-query
 	// overrides of the engine-level WithDegraded / WithPruning
 	// options, set only for the duration of a Run call.
 	reqDegraded bool
 	reqPrune    bool
+
+	// start is the counter state when the in-flight request's view
+	// opened, the base of its delta.
+	start Counters
+}
+
+// deadline latches the first observed expiry of a request's context so
+// DeadlineHits counts requests, not checks. ctx is set only while a
+// request whose context can actually expire (ctx.Done() != nil) is in
+// flight — a plain request pays one nil check per boundary and nothing
+// more.
+type deadline struct {
+	ctx context.Context
+	hit bool
+}
+
+// arm resets the latch for a new request.
+func (d *deadline) arm(ctx context.Context) {
+	d.ctx, d.hit = nil, false
+	if ctx != nil && ctx.Done() != nil {
+		d.ctx = ctx
+	}
+}
+
+// expired reports whether the request's context has expired, charging
+// the first hit to c.DeadlineHits.
+func (d *deadline) expired(c *Counters) bool {
+	if d.ctx == nil {
+		return false
+	}
+	if d.hit {
+		return true
+	}
+	if d.ctx.Err() != nil {
+		d.hit = true
+		c.DeadlineHits++
+		return true
+	}
+	return false
 }
 
 // SetRecorder attaches (nil detaches) a trace recorder to this searcher.
@@ -135,35 +170,42 @@ func (s *Searcher) flush() {
 }
 
 // expired reports whether the in-flight query's context has expired,
-// latching the first hit into Counters.DeadlineHits. Queries without a
-// cancellable context pay exactly this nil check.
-func (s *Searcher) expired() bool {
-	if s.ctx == nil {
-		return false
-	}
-	if s.deadlined {
-		return true
-	}
-	if s.ctx.Err() != nil {
-		s.deadlined = true
-		s.counters.DeadlineHits++
-		return true
-	}
-	return false
-}
+// latching the first hit into Counters.DeadlineHits.
+func (s *Searcher) expired() bool { return s.dl.expired(&s.counters) }
 
 // Explain returns the belief breakdown a query assigns to one document.
 func (s *Searcher) Explain(query string, doc uint32) (*inference.Explanation, error) {
-	n, err := s.e.normalizeQuery(query)
-	if err != nil {
-		return nil, err
-	}
-	if n == nil {
-		return &inference.Explanation{Op: "(all terms stopped)", Belief: 0}, nil
-	}
-	defer s.flush()
-	defer s.finishIters()
-	return inference.Explain(n, s, doc)
+	return s.e.explain(query, doc, s)
+}
+
+// A Searcher is a plain engine's queryTarget and its own queryView:
+// the request's work lands in the searcher's counters, and end merges
+// it into the engine through flush.
+
+func (s *Searcher) cacheScope() string { return "" }
+
+func (s *Searcher) account(d Counters) {
+	s.counters = s.counters.Add(d)
+	s.flush()
+}
+
+func (s *Searcher) view(ctx context.Context, req Request) queryView {
+	s.start = s.counters
+	s.dl.arm(ctx)
+	s.reqDegraded, s.reqPrune = req.Degraded, req.Prune
+	return s
+}
+
+func (s *Searcher) work() *Counters { return &s.counters }
+
+func (s *Searcher) reserve(n *inference.Node) Pin { return s.e.reserve(n) }
+
+func (s *Searcher) end() (Counters, bool) {
+	s.finishIters()
+	s.flush()
+	cut := s.dl.hit
+	s.dl.ctx, s.reqDegraded, s.reqPrune = nil, false, false
+	return s.counters.Sub(s.start), cut
 }
 
 // countLookup maintains the counters the experiments report for one
@@ -363,7 +405,7 @@ func (s *Searcher) Iterator(term string) (inference.PostingIterator, bool, error
 	if rs, streams := e.backend.(RecordStreamer); streams {
 		if r, ok := rs.StreamRecord(ref); ok {
 			s.countLookup(term, entry.ListBytes)
-			return s.track(&countingIterator{it: postings.NewStreamReader(r), s: s, rec: s.rec}), true, nil
+			return s.track(s.counting(postings.NewStreamReader(r), nil)), true, nil
 		}
 	}
 	if s.rec != nil {
@@ -380,8 +422,13 @@ func (s *Searcher) Iterator(term string) (inference.PostingIterator, bool, error
 		return nil, false, err
 	}
 	s.countLookup(term, uint32(len(rec)))
-	ci := &countingIterator{it: postings.Iter(rec), s: s, rec: s.rec}
+	ci := s.counting(postings.Iter(rec), nil)
 	return s.track(s.attachBlockCache(ci, ref)), true, nil
+}
+
+// counting wraps a record iterator in the searcher's accounting.
+func (s *Searcher) counting(it recordIterator, cr *mneme.ChunkRange) *countingIterator {
+	return &countingIterator{it: it, c: &s.counters, dl: &s.dl, rec: s.rec, cr: cr}
 }
 
 // track registers an iterator for end-of-query skip accounting.
@@ -419,14 +466,14 @@ func (s *Searcher) rangeIterator(cr *mneme.ChunkRange) *countingIterator {
 	if cr.Size() > 2 {
 		if magic, err := cr.ReadRange(0, 3); err == nil {
 			if postings.IsV2(magic) {
-				return &countingIterator{it: postings.NewBlockRangeReader(chunkRangeSource{cr}), s: s, rec: s.rec, cr: cr}
+				return s.counting(postings.NewBlockRangeReader(chunkRangeSource{cr}), cr)
 			}
 			if postings.IsV3(magic) {
-				return &countingIterator{it: postings.NewBitmapRangeReader(chunkRangeSource{cr}), s: s, rec: s.rec, cr: cr}
+				return s.counting(postings.NewBitmapRangeReader(chunkRangeSource{cr}), cr)
 			}
 		}
 	}
-	return &countingIterator{it: postings.NewStreamReader(&chunkRangeReader{cr: cr}), s: s, rec: s.rec, cr: cr}
+	return s.counting(postings.NewStreamReader(&chunkRangeReader{cr: cr}), cr)
 }
 
 // chunkRangeSource adapts mneme.ChunkRange to postings.RangeSource.
@@ -493,16 +540,18 @@ type recordIterator interface {
 // off promptly, rare enough to cost nothing measurable per posting.
 const deadlineCheckEvery = 256
 
-// countingIterator counts postings into the owning searcher's counters
-// as they stream past. The evaluators fully consume iterators before
+// countingIterator counts postings into the owning view's counters as
+// they stream past — a segment searcher's, or an NRT query's own for
+// memtable postings. The evaluators fully consume iterators before
 // returning, so the counts land before the query's flush. When tracing,
 // each posting also lands as an event on the innermost open span (the
 // DAAT score span during evaluation). Every deadlineCheckEvery postings
-// the owning query's context is checked, so an expired query stops
+// the owning query's deadline is checked, so an expired query stops
 // mid-list instead of draining a multi-megabyte stream.
 type countingIterator struct {
 	it   recordIterator
-	s    *Searcher
+	c    *Counters
+	dl   *deadline
 	rec  obs.Recorder
 	n    int64             // postings streamed, for the periodic deadline check
 	cr   *mneme.ChunkRange // chunked storage behind it, for skip accounting
@@ -511,12 +560,12 @@ type countingIterator struct {
 
 func (ci *countingIterator) Next() (postings.Posting, bool) {
 	ci.n++
-	if ci.n%deadlineCheckEvery == 0 && ci.s.expired() {
+	if ci.n%deadlineCheckEvery == 0 && ci.dl.expired(ci.c) {
 		return postings.Posting{}, false
 	}
 	p, ok := ci.it.Next()
 	if ok {
-		ci.s.counters.Postings++
+		ci.c.Postings++
 		if ci.rec != nil {
 			ci.rec.Event(obs.EvPostings, "", 1)
 		}
@@ -544,12 +593,12 @@ func (ci *countingIterator) Advance(target uint32) (postings.Posting, bool) {
 		}
 	}
 	ci.n++
-	if ci.n%deadlineCheckEvery == 0 && ci.s.expired() {
+	if ci.n%deadlineCheckEvery == 0 && ci.dl.expired(ci.c) {
 		return postings.Posting{}, false
 	}
 	p, found := adv.Advance(target)
 	if found {
-		ci.s.counters.Postings++
+		ci.c.Postings++
 		if ci.rec != nil {
 			ci.rec.Event(obs.EvPostings, "", 1)
 		}
@@ -559,13 +608,15 @@ func (ci *countingIterator) Advance(target uint32) (postings.Posting, bool) {
 
 // MaxTF implements inference.BoundedIterator when the underlying record
 // format carries a maximum term frequency (v2 block descriptors, v3
-// bitmap header).
+// bitmap header, memtable lists).
 func (ci *countingIterator) MaxTF() (uint32, bool) {
 	switch it := ci.it.(type) {
 	case *postings.BlockReader:
 		return it.MaxTF(), true
 	case *postings.BitmapReader:
 		return it.MaxTF(), true
+	case *memIter:
+		return it.MaxTF()
 	}
 	return 0, false
 }
@@ -581,14 +632,14 @@ func (ci *countingIterator) finish() {
 	switch it := ci.it.(type) {
 	case *postings.BlockReader:
 		st := it.FinishStats()
-		ci.s.counters.PostingsSkipped += int64(st.Postings)
-		ci.s.counters.BlocksSkipped += int64(st.Blocks)
+		ci.c.PostingsSkipped += int64(st.Postings)
+		ci.c.BlocksSkipped += int64(st.Blocks)
 	case *postings.BitmapReader:
 		st := it.FinishStats()
-		ci.s.counters.PostingsSkipped += int64(st.Postings)
-		ci.s.counters.BlocksSkipped += int64(st.Blocks)
+		ci.c.PostingsSkipped += int64(st.Postings)
+		ci.c.BlocksSkipped += int64(st.Blocks)
 	}
 	if ci.cr != nil {
-		ci.s.counters.ChunksSkipped += int64(ci.cr.Chunks() - ci.cr.Faulted())
+		ci.c.ChunksSkipped += int64(ci.cr.Chunks() - ci.cr.Faulted())
 	}
 }

@@ -3,7 +3,6 @@ package inference
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -143,8 +142,7 @@ func EvaluateDAAT(n *Node, src StreamSource, topK int) ([]Result, error) {
 		score := evalDocNode(n, doc, leaves, src)
 		if topK <= 0 || h.Len() < topK {
 			heap.Push(h, Result{Doc: doc, Score: score})
-		} else if top := (*h)[0]; score > top.Score ||
-			(score == top.Score && doc < top.Doc) {
+		} else if top := (*h)[0]; RankedBefore(Result{Doc: doc, Score: score}, top) {
 			(*h)[0] = Result{Doc: doc, Score: score}
 			heap.Fix(h, 0)
 		}
@@ -163,12 +161,6 @@ func EvaluateDAAT(n *Node, src StreamSource, topK int) ([]Result, error) {
 	for i := len(out) - 1; i >= 0; i-- {
 		out[i] = heap.Pop(h).(Result)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Doc < out[j].Doc
-	})
 	return out, nil
 }
 
@@ -366,19 +358,15 @@ func leafBelief(ls *leafState, doc uint32, src StreamSource) float64 {
 	}
 }
 
-// resultHeap is a min-heap by (score, then inverse doc) used to keep the
-// running top-K during DAAT evaluation.
+// resultHeap keeps the running top-K during DAAT evaluation. It is a
+// min-heap in ranking order — its root is the worst-ranked result — so
+// popping it empty from the back yields the ranking with no sort.
 type resultHeap []Result
 
-func (h resultHeap) Len() int { return len(h) }
-func (h resultHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
-	}
-	return h[i].Doc > h[j].Doc
-}
-func (h resultHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x any)   { *h = append(*h, x.(Result)) }
+func (h resultHeap) Len() int           { return len(h) }
+func (h resultHeap) Less(i, j int) bool { return RankedBefore(h[j], h[i]) }
+func (h resultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *resultHeap) Push(x any)        { *h = append(*h, x.(Result)) }
 func (h *resultHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -113,18 +113,28 @@ func EvaluateTAAT(n *Node, src Source, topK int) ([]Result, error) {
 	return rank(ev, topK), nil
 }
 
+// RankedBefore is the one ranking order every evaluator, the top-k
+// heaps and the shard merge share: score descending, then document
+// ascending, so ties break the same way everywhere.
+func RankedBefore(a, b Result) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Doc < b.Doc
+}
+
+// SortRanking sorts rs into ranking order (RankedBefore).
+func SortRanking(rs []Result) {
+	sort.Slice(rs, func(i, j int) bool { return RankedBefore(rs[i], rs[j]) })
+}
+
 // rank orders the documents carrying explicit evidence.
 func rank(ev evidence, topK int) []Result {
 	out := make([]Result, 0, len(ev.scores))
 	for doc, s := range ev.scores {
 		out = append(out, Result{Doc: doc, Score: s})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Doc < out[j].Doc
-	})
+	SortRanking(out)
 	if topK > 0 && len(out) > topK {
 		out = out[:topK]
 	}

@@ -315,8 +315,7 @@ func EvaluateMaxScoreFloor(n *Node, src StreamSource, topK int, floor float64) (
 			if h.Len() < topK {
 				heap.Push(h, Result{Doc: doc, Score: score})
 				updatePartition()
-			} else if top := (*h)[0]; score > top.Score ||
-				(score == top.Score && doc < top.Doc) {
+			} else if top := (*h)[0]; RankedBefore(Result{Doc: doc, Score: score}, top) {
 				(*h)[0] = Result{Doc: doc, Score: score}
 				heap.Fix(h, 0)
 				updatePartition()
@@ -340,11 +339,5 @@ func EvaluateMaxScoreFloor(n *Node, src StreamSource, topK int, floor float64) (
 	for i := len(out) - 1; i >= 0; i-- {
 		out[i] = heap.Pop(h).(Result)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Doc < out[j].Doc
-	})
 	return out, nil
 }

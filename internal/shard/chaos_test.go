@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/inference"
 	"repro/internal/resilience"
 	"repro/internal/vfs"
 )
@@ -186,7 +187,7 @@ func TestShardKillStorm(t *testing.T) {
 				m = append(m, core.Result{Doc: GlobalDoc(r.Doc, sh, n), Score: r.Score})
 			}
 		}
-		sortResults(m)
+		inference.SortRanking(m)
 		if len(m) > reqs[qi].TopK {
 			m = m[:reqs[qi].TopK]
 		}

@@ -675,7 +675,9 @@ func (x *Index) Run(ctx context.Context, req core.Request) (core.Response, error
 			for _, res := range r.resp.Results {
 				merged = append(merged, core.Result{Doc: GlobalDoc(res.Doc, r.shard, n), Score: res.Score})
 			}
-			sortResults(merged)
+			// The local→global mapping is strictly monotone per shard, so
+			// the evaluators' ranking order reproduces the unsharded ties.
+			inference.SortRanking(merged)
 			if req.TopK > 0 && len(merged) > req.TopK {
 				merged = merged[:req.TopK]
 			}
@@ -735,19 +737,6 @@ func (x *Index) Run(ctx context.Context, req core.Request) (core.Response, error
 		resp.Outcome = core.OutcomeOK
 		return resp, nil
 	}
-}
-
-// sortResults orders a merged ranking the way every evaluator does:
-// score descending, then document ascending. The local→global mapping
-// is strictly monotone per shard, so this reproduces the unsharded
-// tie order.
-func sortResults(rs []core.Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
-		}
-		return rs[i].Doc < rs[j].Doc
-	})
 }
 
 // Explain routes a global document id to its shard and explains the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/inference"
 	"repro/internal/resilience"
 	"repro/internal/vfs"
 )
@@ -31,7 +32,7 @@ func expectSurvivors(t *testing.T, idx *Index, req core.Request, exclude map[int
 			merged = append(merged, core.Result{Doc: GlobalDoc(r.Doc, i, n), Score: r.Score})
 		}
 	}
-	sortResults(merged)
+	inference.SortRanking(merged)
 	if req.TopK > 0 && len(merged) > req.TopK {
 		merged = merged[:req.TopK]
 	}
